@@ -6,6 +6,8 @@
 //! a 3-job concurrent mix — the workloads where the engine's per-event
 //! dispatch cost (flow scans, payload clones, per-tick rebuilds)
 //! dominates once the rate engine and control plane are incremental.
+//! `sort60_fat8_pythia_relaxed` is the Pythia sort again on the
+//! relaxed-order solver, pinned at runtime; it has its own floor.
 //!
 //! Every scenario is deterministic, so events/sec is derived by dividing
 //! the (printed) event count by the measured wall clock. Run with
@@ -69,6 +71,21 @@ fn engine_loop(c: &mut Criterion) {
             b.iter(|| run_scenario(sort.job(), &cfg))
         });
     }
+
+    // Same scenario on the relaxed-order solver (deferred solves,
+    // component-parallel fair share). Its event count differs from the
+    // exact run's: completions land in solver order.
+    let cfg = sort_cfg(SchedulerKind::Pythia).with_relaxed_order(true);
+    let sort = SortWorkload::paper_60gb();
+    let r = run_scenario(sort.job(), &cfg);
+    eprintln!(
+        "engine_loop/sort60_fat8_pythia_relaxed: {} events, completion {}",
+        r.events_processed,
+        r.completion()
+    );
+    g.bench_function("sort60_fat8_pythia_relaxed", |b| {
+        b.iter(|| run_scenario(sort.job(), &cfg))
+    });
 
     let cfg = sort_cfg(SchedulerKind::Pythia);
     let r = run_multi_scenario(multi_jobs(), &cfg);

@@ -104,19 +104,13 @@ pub struct ScenarioConfig {
     /// integration, component-parallel fair-share solves and deferred
     /// recomputes. Results agree with the exact path within
     /// [`RELAXED_COMPLETION_EPS`]/[`RELAXED_CURVE_EPS`] but are not
-    /// byte-identical to it. Defaults to the `relaxed-order` cargo
-    /// feature so the whole test suite can be swept both ways.
+    /// byte-identical to it. Off by default: the exact solver.
     pub relaxed_order: bool,
     /// Worker threads for component-parallel solves (relaxed mode only).
     /// 0 = auto (available parallelism, capped at 8). Any fixed value
     /// gives bitwise run-to-run reproducible results; auto is
     /// reproducible per machine.
     pub solver_workers: usize,
-    /// Hard cap on how long a rate recompute may be deferred past the
-    /// first flow mutation / rule install that dirtied the network
-    /// (relaxed mode only). Larger values collapse more solver work but
-    /// let stale rates ride longer, loosening the achieved tolerance.
-    pub relaxed_defer_max: SimDuration,
     /// Stream jobs through the engine (fleet mode): job state is
     /// materialized at its `JobStart` event and retired — heavy Hadoop
     /// simulation state dropped, the timeline kept for reporting — at
@@ -134,36 +128,13 @@ pub struct ScenarioConfig {
     /// instead of a per-prediction install stream. `None` (the default)
     /// keeps per-prediction installs.
     pub install_epoch: Option<SimDuration>,
-    /// Perturbation budget for deferred solves (relaxed mode only): each
-    /// deferred mutation is weighted by the relative rate error it is
-    /// estimated to leave behind (~1/N for one of N concurrent fetches
-    /// starting, completing, or moving; 1.0 for a background redraw or
-    /// link fault), and a solve is forced once the accumulated weight
-    /// crosses this fraction. Sparse scenarios — where every completion
-    /// is a large rate shift — therefore solve nearly eagerly and track
-    /// the exact path tightly, while dense shuffles collapse dozens of
-    /// sub-percent nudges into one solve. The published tolerance is
-    /// calibrated against the default value via the deterministic
-    /// tolerance refcheck — raise it only with that gate green.
-    pub relaxed_defer_frac: f64,
-    /// Wave-batch fetch starts: fetches fired by one Hadoop output batch
-    /// (a shuffle wave — dozens per reducer launch) are drained through
-    /// one batched fast path, amortizing per-fetch overhead (span and
-    /// trace plumbing, per-fetch seed mixing, path-cache probes) across
-    /// the wave. Byte-identical to the per-fetch path in exact mode —
-    /// fetch starts push no events and draw no randomness, so deferring
-    /// them to the end of their Hadoop batch preserves queue sequencing,
-    /// RNG draw order, and flow-id assignment exactly; a batch of one is
-    /// the historical path. On by default; `false` keeps the per-fetch
-    /// code path (the wave-equivalence proptest sweeps both).
-    pub wave_batch: bool,
 }
 
 /// Relative tolerance on per-flow completion times in relaxed-order mode
 /// (plus [`RELAXED_ABS_EPS_SECS`] absolute slack for early/short flows).
 ///
 /// The runs are seeded and deterministic, so the drift is a fixed number,
-/// not a statistic: at the default `relaxed_defer_frac` the worst
+/// not a statistic: at the engine's deferral budget the worst
 /// completion drift measured on the Pythia refcheck scenarios is ~0.27s
 /// on multi-second flows, against a bound of `0.25 + 0.05·exact ≥ 0.55s`
 /// — roughly 2x margin.
@@ -198,14 +169,11 @@ impl Default for ScenarioConfig {
             seed: 1,
             max_sim_time: SimDuration::from_secs(24 * 3600),
             max_events: 50_000_000,
-            relaxed_order: cfg!(feature = "relaxed-order"),
+            relaxed_order: false,
             solver_workers: 0,
             stream_jobs: false,
             collector_shards: 1,
             install_epoch: None,
-            relaxed_defer_max: SimDuration::from_millis(1000),
-            relaxed_defer_frac: 0.25,
-            wave_batch: true,
         }
     }
 }
@@ -264,18 +232,10 @@ impl ScenarioConfig {
         self
     }
 
-    /// Select the relaxed-order solver (or pin the exact byte-identical
-    /// path with `false`, overriding the `relaxed-order` cargo feature).
+    /// Select the relaxed-order solver (`true`) or the exact
+    /// byte-identical path (`false`, the default).
     pub fn with_relaxed_order(mut self, on: bool) -> Self {
         self.relaxed_order = on;
-        self
-    }
-
-    /// Wave-batch fetch starts (`true`, the default) or keep the
-    /// historical per-fetch start path (`false`) — the two are
-    /// byte-identical in exact mode; the equivalence proptest pins it.
-    pub fn with_wave_batch(mut self, on: bool) -> Self {
-        self.wave_batch = on;
         self
     }
 }

@@ -4,7 +4,7 @@
 //! The batch engine ([`crate::engine`]) and the live daemon
 //! (`pythia-daemon`) drive the *same* collector + allocator + controller
 //! pipeline; this module is the shared seam. Every message the engine
-//! feeds into [`pythia_core::ShardedPythia`] or
+//! feeds into [`pythia_core::PythiaSystem`] or
 //! [`pythia_openflow::Controller`] is expressible as one [`ControlMsg`],
 //! and [`dispatch_control`] turns a message into the batch of
 //! [`PendingRule`] installs it provokes. The engine routes its handlers
@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use pythia_core::{PredictionMsg, ShardedPythia};
+use pythia_core::{PredictionMsg, PythiaSystem};
 use pythia_des::{RngFactory, SimTime};
 use pythia_hadoop::{JobId, MapTaskId, ReducerId, ServerId};
 use pythia_netsim::{background_flows, LinkId, MultiRack};
@@ -120,7 +120,7 @@ pub fn tenant_of(msg: &ControlMsg) -> u32 {
 /// and the daemon — identical message streams against identical initial
 /// state produce identical rule streams.
 pub fn dispatch_control(
-    py: &mut ShardedPythia,
+    py: &mut PythiaSystem,
     controller: &mut Controller,
     now: SimTime,
     msg: &ControlMsg,
@@ -256,7 +256,7 @@ pub fn static_background_bps(mr: &MultiRack, cfg: &ScenarioConfig) -> Vec<f64> {
 /// replayed message stream evolves the same bytes.
 pub struct ServiceCore {
     /// The pod-sharded collector + allocator.
-    pub pythia: ShardedPythia,
+    pub pythia: PythiaSystem,
     /// The SDN controller (path candidates, rule issue, install latency).
     pub controller: Controller,
     /// Pod of every node (see [`pod_of_nodes`]).
@@ -292,7 +292,7 @@ impl ServiceCore {
             .iter()
             .map(|&n| pod_of_node[n.0 as usize])
             .collect();
-        let mut pythia = ShardedPythia::new(
+        let mut pythia = PythiaSystem::new(
             cfg.pythia.clone(),
             &mr.topology,
             mr.servers.clone(),

@@ -79,23 +79,13 @@ impl CheckpointPolicy {
     }
 }
 
-/// FNV-1a 64-bit over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Fingerprint of a scenario configuration, recorded in each checkpoint's
 /// manifest and checked on resume: a snapshot resumed under a different
 /// configuration is a typed [`pythia_snapshot::SnapshotError::ConfigMismatch`],
 /// not a silently divergent run. The hash covers the config's complete
 /// `Debug` rendering, so any field change invalidates old checkpoints.
 pub fn config_hash(cfg: &ScenarioConfig) -> u64 {
-    fnv1a64(format!("{cfg:?}").as_bytes())
+    pythia_des::fnv1a64(format!("{cfg:?}").as_bytes())
 }
 
 /// [`config_hash`] with the chaos schedule (link faults, controller

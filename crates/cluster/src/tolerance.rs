@@ -1,8 +1,8 @@
 //! Tolerance comparison between an exact-order and a relaxed-order run.
 //!
 //! The relaxed solver trades bit-exactness for speed: deferred fair-share
-//! solves let stale rates ride for up to
-//! [`crate::config::ScenarioConfig::relaxed_defer_max`], so per-flow
+//! solves let stale rates ride for up to the engine's deferral cap (1 s
+//! of simulated time), so per-flow
 //! completion times and probe curves drift within a bounded envelope
 //! instead of matching byte-for-byte. This module quantifies that drift
 //! and checks it against the published bounds

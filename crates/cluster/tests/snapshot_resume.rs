@@ -2,9 +2,10 @@
 //! resumes byte-identically (exact solver path), forks onto new chaos
 //! schedules, and turns every corrupt snapshot into a typed error.
 //!
-//! The exact-path tests pin `with_relaxed_order(false)` so they assert
-//! full report equality in both feature states; the relaxed leg pins
-//! `true` and goes through the published tolerance instead.
+//! The exact-path tests pin `with_relaxed_order(false)` and assert full
+//! report equality. The relaxed legs pin `true`: a relaxed checkpointing
+//! run resumes to its own fingerprint, and a relaxed resume stays within
+//! the published tolerance of the exact run.
 
 use pythia_cluster::{
     capture_multi_snapshot, compare_tolerance, fork_multi_scenario, resume_multi_from_bytes,
@@ -166,6 +167,15 @@ fn corrupt_snapshots_fail_typed_never_panic() {
         Err(SnapshotError::Version { found: 999, .. }) => {}
         other => panic!("expected Version mismatch, got {other:?}"),
     }
+    // A checkpoint in the previous layout (format 1 repeated every
+    // server's instrumentation inside each collector shard) is refused by
+    // its version, never misparsed.
+    let mut old_format = snap.clone();
+    old_format[4..8].copy_from_slice(&1u32.to_le_bytes());
+    match resume_multi_from_bytes(jobs(8, 4), &cfg, &old_format) {
+        Err(SnapshotError::Version { found: 1, expected }) => assert!(expected > 1),
+        other => panic!("expected Version mismatch, got {other:?}"),
+    }
 
     // Truncation anywhere is a typed error.
     for cut in [0, 1, 7, snap.len() / 3, snap.len() - 1] {
@@ -243,4 +253,35 @@ fn relaxed_resume_stays_within_tolerance() {
         t.summary(),
         t.violations
     );
+}
+
+/// The relaxed solver's crash drill, in process: a checkpointing relaxed
+/// run leaves a mid-run checkpoint behind (what a `kill -9` after that
+/// write would leave), and resuming it at the same cadence must finish
+/// with the fingerprint of the uninterrupted checkpointing run.
+/// Checkpoints land at settled solve points, so both runs defer and
+/// settle their solves identically.
+#[test]
+fn relaxed_checkpointed_run_resumes_to_its_fingerprint() {
+    let cfg = clean_cfg(9).with_relaxed_order(true);
+    let dir = std::env::temp_dir().join(format!("pythia-relaxed-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // One checkpoint, ~60% of the way in: the next one would fall past
+    // the end of the run, so the directory keeps a mid-run snapshot.
+    let events = run_multi_scenario(jobs(16, 4), &cfg).events_processed;
+    let policy = CheckpointPolicy::new(&dir).every_events(events * 3 / 5);
+    let checkpointed =
+        run_multi_scenario_checkpointed(jobs(16, 4), &cfg, &policy).expect("checkpointed run");
+    assert!(checkpointed.events_processed < 2 * (events * 3 / 5));
+
+    let resumed =
+        resume_multi_scenario(jobs(16, 4), &cfg, &dir, Some(&policy)).expect("resume from disk");
+    assert_eq!(
+        fp(&checkpointed),
+        fp(&resumed),
+        "relaxed resume diverged from the uninterrupted checkpointing run"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

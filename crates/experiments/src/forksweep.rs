@@ -125,7 +125,7 @@ fn snapshot_time(bytes: &[u8]) -> SimTime {
 
 /// Run the fork-vs-cold sweep at 1:20 on the exact solver path (the
 /// identity check is full-report equality, so the order-sensitive exact
-/// solver is pinned regardless of the `relaxed-order` feature).
+/// solver is pinned).
 pub fn run(scale: &FigureScale) -> ForkSweepTable {
     let f = scale.input_frac;
     let jobs = move || -> Vec<(JobSpec, SimDuration)> {

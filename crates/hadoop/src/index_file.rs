@@ -22,7 +22,6 @@
 //! checksum u64   FNV-1a over everything above
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pythia_des::fnv1a64;
 
 /// File magic, ASCII "HIDX".
@@ -112,48 +111,48 @@ impl IndexFile {
     }
 
     /// Serialize to the wire/disk format.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(10 + self.records.len() * 24 + 8);
-        buf.put_u32(INDEX_MAGIC);
-        buf.put_u16(INDEX_VERSION);
-        buf.put_u32(self.records.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(10 + self.records.len() * 24 + 8);
+        buf.extend_from_slice(&INDEX_MAGIC.to_be_bytes());
+        buf.extend_from_slice(&INDEX_VERSION.to_be_bytes());
+        buf.extend_from_slice(&(self.records.len() as u32).to_be_bytes());
         for r in &self.records {
-            buf.put_u64(r.start_offset);
-            buf.put_u64(r.raw_length);
-            buf.put_u64(r.part_length);
+            for x in [r.start_offset, r.raw_length, r.part_length] {
+                buf.extend_from_slice(&x.to_be_bytes());
+            }
         }
         let checksum = fnv1a64(&buf);
-        buf.put_u64(checksum);
-        buf.freeze()
+        buf.extend_from_slice(&checksum.to_be_bytes());
+        buf
     }
 
     /// Decode and fully validate an index file.
     pub fn decode(data: &[u8]) -> Result<IndexFile, IndexError> {
         let mut buf = data;
-        if buf.remaining() < 10 {
+        if buf.len() < 10 {
             return Err(IndexError::Truncated);
         }
-        let magic = buf.get_u32();
+        let magic = u32::from_be_bytes(take(&mut buf)?);
         if magic != INDEX_MAGIC {
             return Err(IndexError::BadMagic(magic));
         }
-        let version = buf.get_u16();
+        let version = u16::from_be_bytes(take(&mut buf)?);
         if version != INDEX_VERSION {
             return Err(IndexError::BadVersion(version));
         }
-        let parts = buf.get_u32() as usize;
-        if buf.remaining() < parts * 24 + 8 {
+        let parts = u32::from_be_bytes(take(&mut buf)?) as usize;
+        if buf.len() < parts * 24 + 8 {
             return Err(IndexError::Truncated);
         }
         let mut records = Vec::with_capacity(parts);
         for _ in 0..parts {
             records.push(IndexRecord {
-                start_offset: buf.get_u64(),
-                raw_length: buf.get_u64(),
-                part_length: buf.get_u64(),
+                start_offset: u64::from_be_bytes(take(&mut buf)?),
+                raw_length: u64::from_be_bytes(take(&mut buf)?),
+                part_length: u64::from_be_bytes(take(&mut buf)?),
             });
         }
-        let actual = buf.get_u64();
+        let actual = u64::from_be_bytes(take(&mut buf)?);
         let body_len = 10 + parts * 24;
         let expected = fnv1a64(&data[..body_len]);
         if actual != expected {
@@ -169,6 +168,13 @@ impl IndexFile {
         }
         Ok(IndexFile { records })
     }
+}
+
+/// Split the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], IndexError> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(IndexError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
 #[cfg(test)]
@@ -211,9 +217,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut enc = IndexFile::from_partition_sizes(&[10], 1.0)
-            .encode()
-            .to_vec();
+        let mut enc = IndexFile::from_partition_sizes(&[10], 1.0).encode();
         enc[0] ^= 0xff;
         assert!(matches!(
             IndexFile::decode(&enc),
@@ -223,15 +227,54 @@ mod tests {
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let mut enc = IndexFile::from_partition_sizes(&[10, 20], 1.0)
-            .encode()
-            .to_vec();
+        let mut enc = IndexFile::from_partition_sizes(&[10, 20], 1.0).encode();
         // Flip a byte inside the first record.
         enc[12] ^= 0x01;
         assert!(matches!(
             IndexFile::decode(&enc),
             Err(IndexError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// Recompute the trailing checksum after an edit, so only the check
+    /// under test can reject the file.
+    fn resign(enc: &mut [u8]) {
+        let body = enc.len() - 8;
+        let sum = fnv1a64(&enc[..body]);
+        enc[body..].copy_from_slice(&sum.to_be_bytes());
+    }
+
+    #[test]
+    fn bad_version_rejected() {
+        let mut enc = IndexFile::from_partition_sizes(&[10], 1.0).encode();
+        enc[4..6].copy_from_slice(&(INDEX_VERSION + 1).to_be_bytes());
+        resign(&mut enc);
+        assert_eq!(
+            IndexFile::decode(&enc),
+            Err(IndexError::BadVersion(INDEX_VERSION + 1))
+        );
+    }
+
+    #[test]
+    fn gapped_partitions_rejected() {
+        let mut enc = IndexFile::from_partition_sizes(&[10, 20, 30], 1.0).encode();
+        // Partition 1 claims to start at 11, one byte past partition 0.
+        enc[10 + 24..10 + 32].copy_from_slice(&11u64.to_be_bytes());
+        resign(&mut enc);
+        assert_eq!(
+            IndexFile::decode(&enc),
+            Err(IndexError::InconsistentOffsets { partition: 1 })
+        );
+    }
+
+    #[test]
+    fn encoding_is_big_endian_hadoop_layout() {
+        let enc = IndexFile::from_partition_sizes(&[7], 1.0).encode();
+        assert_eq!(enc.len(), 10 + 24 + 8);
+        assert_eq!(&enc[..4], b"HIDX");
+        assert_eq!(enc[4..6], INDEX_VERSION.to_be_bytes());
+        assert_eq!(enc[6..10], 1u32.to_be_bytes());
+        assert_eq!(enc[10 + 8..10 + 16], 7u64.to_be_bytes());
     }
 
     #[test]

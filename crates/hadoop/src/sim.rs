@@ -19,7 +19,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bytes::Bytes;
 use pythia_des::{get_rng, put_rng, RngFactory, SimTime};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
 use rand::rngs::SmallRng;
@@ -48,7 +47,7 @@ pub enum HadoopEvent {
         /// The tasktracker whose local disk holds the index file.
         server: ServerId,
         /// The encoded index file, exactly as written to disk.
-        data: Bytes,
+        data: Vec<u8>,
     },
     /// Schedule `reducer_started(reducer)` at `at`: the reduce task's JVM
     /// is spawning on its assigned tasktracker.

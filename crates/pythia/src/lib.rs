@@ -19,7 +19,8 @@
 //!   ("assign each aggregated flow to the path with the highest available
 //!   bandwidth", size-aware, background-differentiated);
 //! * [`scheduler`] — [`scheduler::PythiaSystem`], the facade the cluster
-//!   engine drives;
+//!   engine drives, with its collector/allocator split into per-pod
+//!   shards;
 //! * [`middleware_cost`] — the §V-C dc + spike overhead model.
 //!
 //! The instrumentation path in isolation — decode a spill index into a
@@ -49,7 +50,6 @@ pub mod middleware_cost;
 pub mod overhead;
 pub mod residual;
 pub mod scheduler;
-pub mod shard;
 
 pub use allocator::{resolve_hops, FlowAllocator, Placement};
 pub use collector::{AggregatedDemand, Collector, PredictionOutcome, UnknownServer};
@@ -57,5 +57,6 @@ pub use instrument::{Instrumentation, PredictionMsg};
 pub use mgmtnet::{MgmtNet, MgmtNetConfig, MgmtNetStats};
 pub use middleware_cost::MiddlewareCostModel;
 pub use residual::ResidualTable;
-pub use scheduler::{AggregationPolicy, AllocationMode, PythiaConfig, PythiaStats, PythiaSystem};
-pub use shard::{CollectorTotals, ShardedPythia};
+pub use scheduler::{
+    AggregationPolicy, AllocationMode, CollectorTotals, PythiaConfig, PythiaStats, PythiaSystem,
+};

@@ -16,6 +16,33 @@
 //!    predictions resolve, possibly producing more rules.
 //! 4. A shuffle fetch completes → [`PythiaSystem::on_fetch_completed`];
 //!    the pair's outstanding volume drains, freeing planned capacity.
+//!
+//! ## Collector shards
+//!
+//! One collector and one allocator match the paper's 10-server testbed,
+//! but on a 1024-server Clos they become a serialization point whose
+//! working set spans the fabric. The system therefore splits collection
+//! and placement into N ≥ 1 shards by *pod* (rack on leaf fabrics):
+//! server `s` belongs to shard `pod(s) % N`, and a shard only ever sees
+//! the predictions whose **source server** it owns, so its collector
+//! maps, parked entries and allocator plan stay pod-sized. Under the
+//! default `ServerPair` aggregation every prediction for a pair
+//! originates at the pair's source server, so a pair's whole lifecycle
+//! (prediction → park → demand → placement → drain) stays in one shard.
+//!
+//! * **routed by source server** — predictions and fetch completions;
+//! * **broadcast** — reducer launches (a job's maps span pods, so every
+//!   shard must learn reducer locations to un-park its own predictions),
+//!   the re-placement sweep and the controller-restart resync;
+//! * **system-wide** — the per-server instrumentation, the background
+//!   residual table (background load is fabric state every shard reads),
+//!   controller reachability and the run statistics.
+//!
+//! Placements made by one shard are not visible in another's allocator
+//! plan — the trade-off a per-pod controller deployment would make. With
+//! one shard it vanishes: the system is the paper's single collector.
+
+use std::collections::BTreeMap;
 
 use pythia_des::{SimDuration, SimTime};
 use pythia_hadoop::{JobId, MapTaskId, ReducerId, ServerId};
@@ -145,17 +172,127 @@ impl Persist for PythiaStats {
     }
 }
 
-/// The complete Pythia deployment over one cluster.
-pub struct PythiaSystem {
-    cfg: PythiaConfig,
-    instruments: Vec<Instrumentation>,
+/// Collector degradation counters summed over every shard.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CollectorTotals {
+    /// Duplicate prediction deliveries dropped.
+    pub duplicates_dropped: u64,
+    /// Map re-execution retractions applied.
+    pub retractions: u64,
+    /// Malformed prediction payloads dropped.
+    pub malformed_dropped: u64,
+    /// Parked predictions expired by the TTL sweep.
+    pub parked_expired: u64,
+}
+
+/// One collector shard: aggregation and placement state for the
+/// predictions whose source server lives in the shard's pods.
+struct Shard {
     collector: Collector,
     allocator: FlowAllocator,
     /// Rack-aggregation state: per rack pair, the pinned inter-switch
     /// trunk link and how many active server pairs ride it.
-    rack_trunk: std::collections::BTreeMap<(u32, u32), (LinkId, u64)>,
+    rack_trunk: BTreeMap<(u32, u32), (LinkId, u64)>,
     /// Server pairs currently counted against a rack pin.
-    rack_counted: std::collections::BTreeMap<(NodeId, NodeId), (u32, u32)>,
+    rack_counted: BTreeMap<(NodeId, NodeId), (u32, u32)>,
+}
+
+impl Shard {
+    fn new(cfg: &PythiaConfig, server_nodes: Vec<NodeId>) -> Shard {
+        let allocator = match cfg.allocation {
+            AllocationMode::SizeAware => FlowAllocator::new(),
+            AllocationMode::SizeBlind => FlowAllocator::new_size_blind(),
+        };
+        Shard {
+            collector: Collector::new(server_nodes),
+            allocator,
+            rack_trunk: BTreeMap::new(),
+            rack_counted: BTreeMap::new(),
+        }
+    }
+
+    /// Drain `bytes` of predicted volume from `pair`, releasing its rack
+    /// pin (RackPair aggregation) once nothing is outstanding.
+    fn drain(&mut self, pair: (NodeId, NodeId), bytes: u64, aggregation: AggregationPolicy) {
+        self.allocator.drain(pair, bytes);
+        if aggregation != AggregationPolicy::RackPair || self.allocator.outstanding(pair) > 0 {
+            return;
+        }
+        if let Some(key) = self.rack_counted.remove(&pair) {
+            if let Some(entry) = self.rack_trunk.get_mut(&key) {
+                entry.1 = entry.1.saturating_sub(1);
+                if entry.1 == 0 {
+                    self.rack_trunk.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// Record that `pair` rides `path`'s inter-switch trunk for its rack
+    /// pair.
+    fn pin_rack(
+        &mut self,
+        rack_key: Option<(u32, u32)>,
+        pair: (NodeId, NodeId),
+        path: &Path,
+        topo: &Topology,
+    ) {
+        let Some(key) = rack_key else { return };
+        // The trunk is the link whose endpoints are both switches.
+        let trunk = path.links().iter().copied().find(|&l| {
+            let link = topo.link(l);
+            !topo.node(link.src).is_server() && !topo.node(link.dst).is_server()
+        });
+        let Some(trunk) = trunk else { return }; // intra-rack path
+        let entry = self.rack_trunk.entry(key).or_insert((trunk, 0));
+        entry.0 = trunk;
+        entry.1 += 1;
+        self.rack_counted.insert(pair, key);
+    }
+
+    fn put_state(&self, w: &mut SectionWriter) {
+        self.collector.put_state(w);
+        self.allocator.put_state(w);
+        self.rack_trunk.put(w);
+        self.rack_counted.put(w);
+    }
+
+    fn restore_state(
+        &mut self,
+        topo: &Topology,
+        r: &mut SectionReader,
+    ) -> Result<(), SnapshotError> {
+        self.collector.restore_state(r)?;
+        self.allocator.restore_state(topo, r)?;
+        let rack_trunk = <BTreeMap<(u32, u32), (LinkId, u64)> as Persist>::get(r)?;
+        for &(link, count) in rack_trunk.values() {
+            if link.0 as usize >= topo.num_links() {
+                return Err(r.malformed(format!("rack trunk {link} out of range")));
+            }
+            if count == 0 {
+                return Err(r.malformed("rack trunk pinned with zero riders"));
+            }
+        }
+        let rack_counted = <BTreeMap<(NodeId, NodeId), (u32, u32)> as Persist>::get(r)?;
+        for key in rack_counted.values() {
+            if !rack_trunk.contains_key(key) {
+                return Err(r.malformed("server pair counted against an unpinned rack pair"));
+            }
+        }
+        self.rack_trunk = rack_trunk;
+        self.rack_counted = rack_counted;
+        Ok(())
+    }
+}
+
+/// The complete Pythia deployment over one cluster: one instrumentation
+/// agent per server and N ≥ 1 collector shards (see the module docs).
+pub struct PythiaSystem {
+    cfg: PythiaConfig,
+    instruments: Vec<Instrumentation>,
+    /// `pod_of_server[s]` — pod (or rack) index of Hadoop server `s`.
+    pod_of_server: Vec<u32>,
+    shards: Vec<Shard>,
     /// Whether the SDN controller is reachable. While down, placements
     /// are still decided (the collector/allocator live with Pythia, not
     /// the controller) but no rules can be installed — new aggregated
@@ -177,28 +314,38 @@ pub struct PythiaSystem {
     pin_resids: Vec<f64>,
     /// Flight-recorder handle (off by default).
     trace: Trace,
-    /// Aggregate statistics for reporting.
-    pub stats: PythiaStats,
+    stats: PythiaStats,
 }
 
 impl PythiaSystem {
-    /// `server_nodes[i]` is the network node hosting Hadoop server `i`;
-    /// `topo` is the (nominal) fabric the residual table is sized from.
-    pub fn new(cfg: PythiaConfig, topo: &Topology, server_nodes: Vec<NodeId>) -> Self {
+    /// `server_nodes[i]` is the network node hosting Hadoop server `i`
+    /// and `pod_of_server[i]` its pod (or rack); server `i` belongs to
+    /// collector shard `pod_of_server[i] % num_shards`. `topo` is the
+    /// (nominal) fabric the residual table is sized from.
+    pub fn new(
+        cfg: PythiaConfig,
+        topo: &Topology,
+        server_nodes: Vec<NodeId>,
+        pod_of_server: Vec<u32>,
+        num_shards: usize,
+    ) -> Self {
+        assert!(num_shards >= 1, "at least one collector shard");
+        assert_eq!(
+            pod_of_server.len(),
+            server_nodes.len(),
+            "one pod id per server"
+        );
         let instruments = (0..server_nodes.len() as u32)
             .map(|i| Instrumentation::new(ServerId(i)))
             .collect();
-        let allocator = match cfg.allocation {
-            AllocationMode::SizeAware => FlowAllocator::new(),
-            AllocationMode::SizeBlind => FlowAllocator::new_size_blind(),
-        };
+        let shards = (0..num_shards)
+            .map(|_| Shard::new(&cfg, server_nodes.clone()))
+            .collect();
         PythiaSystem {
             cfg,
             instruments,
-            collector: Collector::new(server_nodes),
-            allocator,
-            rack_trunk: std::collections::BTreeMap::new(),
-            rack_counted: std::collections::BTreeMap::new(),
+            pod_of_server,
+            shards,
             controller_up: true,
             residuals: ResidualTable::new(topo),
             active_scratch: Vec::new(),
@@ -216,9 +363,14 @@ impl PythiaSystem {
         self.trace = trace;
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &PythiaConfig {
-        &self.cfg
+    /// Number of collector shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Shard owning `server`'s predictions.
+    fn shard_of(&self, server: ServerId) -> usize {
+        self.pod_of_server[server.0 as usize] as usize % self.shards.len()
     }
 
     /// The link-load service reported `link` carrying `bps` of
@@ -233,11 +385,6 @@ impl PythiaSystem {
     /// pass, after which every path score is table lookups.
     pub fn set_background_from(&mut self, loads: &[f64]) {
         self.residuals.set_background_from(loads);
-    }
-
-    /// The residual table in force (diagnostics/tests).
-    pub fn residuals(&self) -> &ResidualTable {
-        &self.residuals
     }
 
     /// Instrumentation hook: the spill index for `map` appeared on
@@ -283,34 +430,37 @@ impl PythiaSystem {
         }
     }
 
-    /// The collector received a prediction. Background load is read from
-    /// the residual table — push updates via
-    /// [`PythiaSystem::set_background`] before delivering.
+    /// The collector received a prediction; it aggregates in the shard
+    /// of the message's source server. Background load is read from the
+    /// residual table — push updates via [`PythiaSystem::set_background`]
+    /// before delivering.
     pub fn on_prediction_delivered(
         &mut self,
         now: SimTime,
         msg: &PredictionMsg,
         controller: &mut Controller,
     ) -> Vec<PendingRule> {
+        let s = self.shard_of(msg.src_server);
+        let collector = &mut self.shards[s].collector;
         // Counter snapshots let the recorder classify what the collector
         // did with this delivery without touching its internals.
         let snap = self.trace.is_enabled().then(|| {
             (
-                self.collector.duplicates_dropped,
-                self.collector.malformed_dropped,
-                self.collector.parked(),
+                collector.duplicates_dropped,
+                collector.malformed_dropped,
+                collector.parked(),
             )
         });
-        let outcome = self.collector.on_prediction(now, msg);
+        let outcome = collector.on_prediction(now, msg);
         if let Some((dups, malformed, parked)) = snap {
-            if self.collector.duplicates_dropped > dups {
+            if collector.duplicates_dropped > dups {
                 self.trace
                     .record(Component::Collector, || TraceEvent::PredictionDedup {
                         job: msg.job,
                         map: msg.map,
                     });
             }
-            if self.collector.malformed_dropped > malformed {
+            if collector.malformed_dropped > malformed {
                 self.trace
                     .record(Component::Collector, || TraceEvent::PredictionDrop {
                         reason: "malformed",
@@ -324,7 +474,7 @@ impl PythiaSystem {
                         withdrawn: outcome.retracted.len() as u32,
                     });
             }
-            let parked_now = self.collector.parked();
+            let parked_now = collector.parked();
             if parked_now > parked {
                 self.trace
                     .record(Component::Collector, || TraceEvent::CollectorPark {
@@ -337,15 +487,15 @@ impl PythiaSystem {
         // A re-executed map retracts its stale volumes before the new
         // prediction is placed.
         for &(pair, bytes) in &outcome.retracted {
-            self.allocator.drain(pair, bytes);
-            if self.cfg.aggregation == AggregationPolicy::RackPair {
-                self.unpin_rack_if_idle(pair);
-            }
+            self.shards[s].drain(pair, bytes, self.cfg.aggregation);
         }
-        self.handle_demands(&outcome.demands, controller)
+        let mut rules = Vec::new();
+        self.handle_demands(s, &outcome.demands, controller, &mut rules);
+        rules
     }
 
-    /// A reducer launched: resolve parked predictions.
+    /// A reducer launched: resolve parked predictions in every shard (a
+    /// job's maps span pods). Rule batches concatenate in shard order.
     pub fn on_reducer_launched(
         &mut self,
         now: SimTime,
@@ -354,22 +504,25 @@ impl PythiaSystem {
         server: ServerId,
         controller: &mut Controller,
     ) -> Vec<PendingRule> {
-        let parked_before = self.trace.is_enabled().then(|| self.collector.parked());
-        let demands = self
-            .collector
-            .on_reducer_location(now, job, reducer, server);
-        if let Some(before) = parked_before {
-            let released = before.saturating_sub(self.collector.parked());
-            if released > 0 {
-                self.trace
-                    .record(Component::Collector, || TraceEvent::CollectorUnpark {
-                        job,
-                        reducer,
-                        entries: released as u32,
-                    });
+        let mut rules = Vec::new();
+        for s in 0..self.shards.len() {
+            let collector = &mut self.shards[s].collector;
+            let parked_before = self.trace.is_enabled().then(|| collector.parked());
+            let demands = collector.on_reducer_location(now, job, reducer, server);
+            if let Some(before) = parked_before {
+                let released = before.saturating_sub(collector.parked());
+                if released > 0 {
+                    self.trace
+                        .record(Component::Collector, || TraceEvent::CollectorUnpark {
+                            job,
+                            reducer,
+                            entries: released as u32,
+                        });
+                }
             }
+            self.handle_demands(s, &demands, controller, &mut rules);
         }
-        self.handle_demands(&demands, controller)
+        rules
     }
 
     /// Network conditions changed (the link-load service reports a shifted
@@ -392,34 +545,41 @@ impl PythiaSystem {
         // reused scratch buffer. The allocator clones a path only when a
         // pair actually moves.
         let mut pairs = std::mem::take(&mut self.active_scratch);
-        self.allocator.active_pairs_into(&mut pairs);
         let paths_epoch = controller.paths_epoch();
-        for &pair in &pairs {
-            let paths = controller.paths(pair.0, pair.1);
-            self.resid_scratch.clear();
-            for p in paths {
-                self.resid_scratch.push(self.residuals.path_residual_bps(p));
-            }
-            // 1.5× hysteresis: move only for a clear win. The epoch-keyed
-            // entry point reuses the pair's memoized candidate geometry
-            // across sweeps (the path sets are stable between topology
-            // events, so the memo hits on every sweep after the first).
-            if let Some(path) =
-                self.allocator
-                    .reassign_epoch(pair, paths, &self.resid_scratch, 1.5, paths_epoch)
-            {
-                self.stats.paths_assigned += 1;
-                let matcher = FlowMatch::server_pair(pair.0, pair.1);
-                let pending = controller.install_path(matcher, &path, self.cfg.rule_priority);
-                self.stats.rules_issued += pending.len() as u64;
-                rules.extend(pending);
+        for shard in &mut self.shards {
+            shard.allocator.active_pairs_into(&mut pairs);
+            for &pair in &pairs {
+                let paths = controller.paths(pair.0, pair.1);
+                self.resid_scratch.clear();
+                for p in paths {
+                    self.resid_scratch.push(self.residuals.path_residual_bps(p));
+                }
+                // 1.5× hysteresis: move only for a clear win. The
+                // epoch-keyed entry point reuses the pair's memoized
+                // candidate geometry across sweeps (the path sets are
+                // stable between topology events, so the memo hits on
+                // every sweep after the first).
+                if let Some(path) = shard.allocator.reassign_epoch(
+                    pair,
+                    paths,
+                    &self.resid_scratch,
+                    1.5,
+                    paths_epoch,
+                ) {
+                    self.stats.paths_assigned += 1;
+                    let matcher = FlowMatch::server_pair(pair.0, pair.1);
+                    let pending = controller.install_path(matcher, &path, self.cfg.rule_priority);
+                    self.stats.rules_issued += pending.len() as u64;
+                    rules.extend(pending);
+                }
             }
         }
         self.active_scratch = pairs;
         rules
     }
 
-    /// A shuffle fetch completed: drain the pair's predicted volume.
+    /// A shuffle fetch completed: drain the pair's predicted volume in
+    /// the source server's shard.
     pub fn on_fetch_completed(
         &mut self,
         job: JobId,
@@ -428,14 +588,13 @@ impl PythiaSystem {
         src: ServerId,
         dst: ServerId,
     ) {
-        if let Some((pair, bytes)) = self
+        let s = self.shard_of(src);
+        let shard = &mut self.shards[s];
+        if let Some((pair, bytes)) = shard
             .collector
             .on_fetch_completed(job, map, reducer, src, dst)
         {
-            self.allocator.drain(pair, bytes);
-            if self.cfg.aggregation == AggregationPolicy::RackPair {
-                self.unpin_rack_if_idle(pair);
-            }
+            shard.drain(pair, bytes, self.cfg.aggregation);
         }
     }
 
@@ -452,80 +611,103 @@ impl PythiaSystem {
     }
 
     /// The controller restarted. Re-derive the full rule set from
-    /// collector/allocator state: re-place pairs that still carry
-    /// predicted volume but lost their assignment, then reinstall rules
-    /// for every active pair (flow-table replace semantics make the
-    /// reinstalls idempotent on switches that kept their TCAM).
+    /// collector/allocator state, shard by shard: re-place pairs that
+    /// still carry predicted volume but lost their assignment, then
+    /// reinstall rules for every active pair (flow-table replace
+    /// semantics make the reinstalls idempotent on switches that kept
+    /// their TCAM).
     pub fn on_controller_restart(
         &mut self,
         now: SimTime,
         controller: &mut Controller,
     ) -> Vec<PendingRule> {
+        let _ = now;
         self.controller_up = true;
         self.stats.controller_resyncs += 1;
-        // Pairs the collector predicts but the allocator never placed
-        // (NoPath during the outage, e.g. a concurrent link failure).
-        let unplaced: Vec<AggregatedDemand> = self
-            .collector
-            .outstanding_pairs()
-            .into_iter()
-            .filter(|&((src, dst), _)| self.allocator.assigned_path((src, dst)).is_none())
-            .map(|((src, dst), bytes)| AggregatedDemand {
-                src,
-                dst,
-                added_bytes: bytes,
-            })
-            .collect();
-        let mut rules = self.handle_demands(&unplaced, controller);
-        for pair in self.allocator.active_pairs() {
-            if let Some(path) = self.allocator.assigned_path(pair).cloned() {
-                let matcher = FlowMatch::server_pair(pair.0, pair.1);
-                let pending = controller.install_path(matcher, &path, self.cfg.rule_priority);
-                self.stats.rules_issued += pending.len() as u64;
-                self.stats.rules_reinstalled += pending.len() as u64;
-                rules.extend(pending);
+        let mut rules = Vec::new();
+        for s in 0..self.shards.len() {
+            let shard = &self.shards[s];
+            // Pairs the collector predicts but the allocator never placed
+            // (NoPath during the outage, e.g. a concurrent link failure).
+            let unplaced: Vec<AggregatedDemand> = shard
+                .collector
+                .outstanding_pairs()
+                .into_iter()
+                .filter(|&(pair, _)| shard.allocator.assigned_path(pair).is_none())
+                .map(|((src, dst), bytes)| AggregatedDemand {
+                    src,
+                    dst,
+                    added_bytes: bytes,
+                })
+                .collect();
+            self.handle_demands(s, &unplaced, controller, &mut rules);
+            let allocator = &self.shards[s].allocator;
+            for pair in allocator.active_pairs() {
+                if let Some(path) = allocator.assigned_path(pair) {
+                    let matcher = FlowMatch::server_pair(pair.0, pair.1);
+                    let pending = controller.install_path(matcher, path, self.cfg.rule_priority);
+                    self.stats.rules_issued += pending.len() as u64;
+                    self.stats.rules_reinstalled += pending.len() as u64;
+                    rules.extend(pending);
+                }
             }
         }
-        let _ = now;
         rules
     }
 
-    /// TTL sweep over parked predictions (no-op unless
+    /// TTL sweep over parked predictions in every shard (no-op unless
     /// [`PythiaConfig::parked_ttl`] is set). Returns entries expired.
     pub fn expire_parked(&mut self, now: SimTime) -> usize {
         match self.cfg.parked_ttl {
-            Some(ttl) => self.collector.expire_parked(now, ttl),
+            Some(ttl) => self
+                .shards
+                .iter_mut()
+                .map(|sh| sh.collector.expire_parked(now, ttl))
+                .sum(),
             None => 0,
         }
     }
 
-    /// Read access to the collector (degradation counters, outstanding
-    /// volumes).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
+    /// Run statistics.
+    pub fn stats(&self) -> PythiaStats {
+        self.stats
+    }
+
+    /// Collector degradation counters summed over the shards.
+    pub fn collector_totals(&self) -> CollectorTotals {
+        let mut t = CollectorTotals::default();
+        for sh in &self.shards {
+            let c = &sh.collector;
+            t.duplicates_dropped += c.duplicates_dropped;
+            t.retractions += c.retractions;
+            t.malformed_dropped += c.malformed_dropped;
+            t.parked_expired += c.parked_expired;
+        }
+        t
     }
 
     /// Serialize every stateful sub-component: per-server middleware
-    /// counters, the collector, the allocator plan, rack-aggregation pins,
+    /// counters, each shard's collector, allocator plan and rack pins,
     /// controller reachability, the residual table, and the run stats.
-    /// The config and the trace handle are scenario wiring, not state.
+    /// The config, the pod map and the trace handle are scenario wiring,
+    /// not state.
     pub fn put_state(&self, w: &mut SectionWriter) {
         (self.instruments.len() as u64).put(w);
         for inst in &self.instruments {
             inst.put_state(w);
         }
-        self.collector.put_state(w);
-        self.allocator.put_state(w);
-        self.rack_trunk.put(w);
-        self.rack_counted.put(w);
+        (self.shards.len() as u64).put(w);
+        for shard in &self.shards {
+            shard.put_state(w);
+        }
         self.controller_up.put(w);
         self.residuals.put_state(w);
         self.stats.put(w);
     }
 
     /// Restore onto a freshly constructed system for the same scenario
-    /// (same config, topology, and server map — mismatches surface as
-    /// typed errors from the sub-restores).
+    /// (same config, topology, server map and shard count — mismatches
+    /// surface as typed errors).
     pub fn restore_state(
         &mut self,
         topo: &Topology,
@@ -541,27 +723,16 @@ impl PythiaSystem {
         for inst in &mut self.instruments {
             inst.restore_state(r)?;
         }
-        self.collector.restore_state(r)?;
-        self.allocator.restore_state(topo, r)?;
-        let rack_trunk =
-            <std::collections::BTreeMap<(u32, u32), (LinkId, u64)> as Persist>::get(r)?;
-        for &(link, count) in rack_trunk.values() {
-            if link.0 as usize >= topo.num_links() {
-                return Err(r.malformed(format!("rack trunk {link} out of range")));
-            }
-            if count == 0 {
-                return Err(r.malformed("rack trunk pinned with zero riders"));
-            }
+        let n = u64::get(r)? as usize;
+        if n != self.shards.len() {
+            return Err(r.malformed(format!(
+                "snapshot has {n} collector shards, scenario has {}",
+                self.shards.len()
+            )));
         }
-        let rack_counted =
-            <std::collections::BTreeMap<(NodeId, NodeId), (u32, u32)> as Persist>::get(r)?;
-        for key in rack_counted.values() {
-            if !rack_trunk.contains_key(key) {
-                return Err(r.malformed("server pair counted against an unpinned rack pair"));
-            }
+        for shard in &mut self.shards {
+            shard.restore_state(topo, r)?;
         }
-        self.rack_trunk = rack_trunk;
-        self.rack_counted = rack_counted;
         self.controller_up = bool::get(r)?;
         self.residuals.restore_state(r)?;
         self.stats = PythiaStats::get(r)?;
@@ -572,12 +743,15 @@ impl PythiaSystem {
         Ok(())
     }
 
+    /// Place `demands` with shard `s`'s allocator, appending the rules
+    /// to install to `rules`.
     fn handle_demands(
         &mut self,
+        s: usize,
         demands: &[AggregatedDemand],
         controller: &mut Controller,
-    ) -> Vec<PendingRule> {
-        let mut rules = Vec::new();
+        rules: &mut Vec<PendingRule>,
+    ) {
         let _span = self.trace.span("first_fit_place");
         for d in demands {
             self.trace
@@ -595,6 +769,8 @@ impl PythiaSystem {
                 .then_with(|| (a.src, a.dst).cmp(&(b.src, b.dst)))
         });
         let paths_epoch = controller.paths_epoch();
+        let rack_pair = self.cfg.aggregation == AggregationPolicy::RackPair;
+        let shard = &mut self.shards[s];
         for d in sorted {
             self.stats.demands_aggregated += 1;
             // Fast path: the overwhelming majority of demands stack onto
@@ -603,7 +779,7 @@ impl PythiaSystem {
             // bit-identical to the Keep branch of a full placement, so
             // the candidate-path lookup and per-path residual scan are
             // skipped entirely.
-            if self.allocator.stack_demand((d.src, d.dst), d.added_bytes) {
+            if shard.allocator.stack_demand((d.src, d.dst), d.added_bytes) {
                 self.trace
                     .record(Component::Allocator, || TraceEvent::AllocPlace {
                         src: d.src,
@@ -615,29 +791,21 @@ impl PythiaSystem {
                     });
                 continue;
             }
-            let rack_key = self.rack_key(controller, d.src, d.dst);
+            let rack_key = rack_key(controller.topology(), d.src, d.dst);
             let all = controller.paths(d.src, d.dst);
-            let mut paths: &[Path] = all;
             self.resid_scratch.clear();
             for p in all {
                 self.resid_scratch.push(self.residuals.path_residual_bps(p));
             }
-            let mut resids: &[f64] = &self.resid_scratch;
-            // ServerPair aggregation (the deployed configuration) hands
-            // the controller's path epoch to the allocator so it can
-            // reuse the pair's memoized candidate geometry — bit-identical
-            // to a fresh scan while the epoch holds. RackPair narrows the
-            // candidate set below, so it stays on the plain entry point.
-            let mut epoch = None;
-            if self.cfg.aggregation != AggregationPolicy::RackPair {
-                epoch = Some(paths_epoch);
-            }
-            // Rack aggregation: once a trunk is pinned for this rack pair,
-            // every further server pair between the racks must follow it.
-            // Only that (narrowing) case copies candidates; the common
-            // path borrows them from the controller's memoized set.
-            if self.cfg.aggregation == AggregationPolicy::RackPair {
-                if let Some(&(trunk, _)) = rack_key.and_then(|k| self.rack_trunk.get(&k)) {
+            let placement = if rack_pair {
+                // Rack aggregation: once a trunk is pinned for this rack
+                // pair, every further server pair between the racks must
+                // follow it. Only that (narrowing) case copies candidates;
+                // otherwise they are borrowed from the controller's
+                // memoized set.
+                let mut paths: &[Path] = all;
+                let mut resids: &[f64] = &self.resid_scratch;
+                if let Some(&(trunk, _)) = rack_key.and_then(|k| shard.rack_trunk.get(&k)) {
                     self.pin_paths.clear();
                     self.pin_resids.clear();
                     for (p, &r) in all.iter().zip(resids) {
@@ -651,15 +819,21 @@ impl PythiaSystem {
                         resids = &self.pin_resids;
                     }
                 }
-            }
-            let placement = match epoch {
-                Some(pe) => {
-                    self.allocator
-                        .place_epoch((d.src, d.dst), d.added_bytes, paths, resids, pe)
-                }
-                None => self
+                shard
                     .allocator
-                    .place((d.src, d.dst), d.added_bytes, paths, resids),
+                    .place((d.src, d.dst), d.added_bytes, paths, resids)
+            } else {
+                // ServerPair aggregation (the deployed configuration)
+                // hands the controller's path epoch to the allocator so it
+                // can reuse the pair's memoized candidate geometry —
+                // bit-identical to a fresh scan while the epoch holds.
+                shard.allocator.place_epoch(
+                    (d.src, d.dst),
+                    d.added_bytes,
+                    all,
+                    &self.resid_scratch,
+                    paths_epoch,
+                )
             };
             match placement {
                 Placement::Assign(path) => {
@@ -676,8 +850,8 @@ impl PythiaSystem {
                                 resid_bps,
                             });
                     }
-                    if self.cfg.aggregation == AggregationPolicy::RackPair {
-                        self.pin_rack(rack_key, (d.src, d.dst), &path, controller);
+                    if rack_pair {
+                        shard.pin_rack(rack_key, (d.src, d.dst), &path, controller.topology());
                     }
                     if self.controller_up {
                         let matcher = FlowMatch::server_pair(d.src, d.dst);
@@ -720,73 +894,37 @@ impl PythiaSystem {
                 }
             }
         }
-        rules
     }
 
-    /// The rack pair of a server pair, if both ends have rack labels.
-    fn rack_key(&self, controller: &Controller, src: NodeId, dst: NodeId) -> Option<(u32, u32)> {
-        let topo = controller.topology();
-        Some((topo.node(src).rack()?, topo.node(dst).rack()?))
-    }
-
-    /// Record that `pair` rides `path`'s inter-switch trunk for its rack
-    /// pair.
-    fn pin_rack(
-        &mut self,
-        rack_key: Option<(u32, u32)>,
-        pair: (NodeId, NodeId),
-        path: &pythia_netsim::Path,
-        controller: &Controller,
-    ) {
-        let Some(key) = rack_key else { return };
-        let topo = controller.topology();
-        // The trunk is the link whose endpoints are both switches.
-        let trunk = path.links().iter().copied().find(|&l| {
-            let link = topo.link(l);
-            !topo.node(link.src).is_server() && !topo.node(link.dst).is_server()
-        });
-        let Some(trunk) = trunk else { return }; // intra-rack path
-        let entry = self.rack_trunk.entry(key).or_insert((trunk, 0));
-        entry.0 = trunk;
-        entry.1 += 1;
-        self.rack_counted.insert(pair, key);
-    }
-
-    /// Release `pair`'s rack pin if its outstanding volume drained.
-    fn unpin_rack_if_idle(&mut self, pair: (NodeId, NodeId)) {
-        if self.allocator.outstanding(pair) > 0 {
-            return;
-        }
-        if let Some(key) = self.rack_counted.remove(&pair) {
-            if let Some(entry) = self.rack_trunk.get_mut(&key) {
-                entry.1 = entry.1.saturating_sub(1);
-                if entry.1 == 0 {
-                    self.rack_trunk.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Predicted cumulative remote-traffic curve per source node
-    /// (Figure 5's prediction side).
-    pub fn predicted_curve(&self, node: NodeId) -> Option<&CumulativeCurve> {
-        self.collector.predicted_curve(node)
+    /// Predicted cumulative remote-traffic curve of server `server`
+    /// (Figure 5's prediction side), from the shard that owns it.
+    pub fn predicted_curve(&self, server: ServerId) -> Option<&CumulativeCurve> {
+        let collector = &self.shards[self.shard_of(server)].collector;
+        collector.predicted_curve(collector.node_of(server).ok()?)
     }
 
     /// Outstanding predicted bytes on a server pair.
     pub fn outstanding(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.collector.outstanding(src, dst)
+        self.shards
+            .iter()
+            .map(|sh| sh.collector.outstanding(src, dst))
+            .sum()
     }
 
-    /// Parked (unknown-reducer) prediction entries.
+    /// Parked (unknown-reducer) prediction entries, over every shard.
     pub fn parked_predictions(&self) -> usize {
-        self.collector.parked()
+        self.shards.iter().map(|sh| sh.collector.parked()).sum()
     }
 
     /// Per-server spill-decode counts, for the §V-C overhead model.
     pub fn spills_decoded(&self, server: ServerId) -> u64 {
         self.instruments[server.0 as usize].spills_decoded
     }
+}
+
+/// The rack pair of a server pair, if both ends have rack labels.
+fn rack_key(topo: &Topology, src: NodeId, dst: NodeId) -> Option<(u32, u32)> {
+    Some((topo.node(src).rack()?, topo.node(dst).rack()?))
 }
 
 #[cfg(test)]
@@ -797,6 +935,33 @@ mod tests {
     use pythia_netsim::{build_multi_rack, MultiRack, MultiRackParams};
     use pythia_openflow::ControllerConfig;
 
+    /// One collector shard over `servers`.
+    fn single(cfg: PythiaConfig, mr: &MultiRack, servers: &[NodeId]) -> PythiaSystem {
+        PythiaSystem::new(
+            cfg,
+            &mr.topology,
+            servers.to_vec(),
+            vec![0; servers.len()],
+            1,
+        )
+    }
+
+    /// `n` shards over the default multi-rack, one pod per rack.
+    fn sharded(mr: &MultiRack, n: usize) -> PythiaSystem {
+        let pods = mr
+            .servers
+            .iter()
+            .map(|&s| mr.topology.node(s).rack().unwrap_or(0))
+            .collect();
+        PythiaSystem::new(
+            PythiaConfig::default(),
+            &mr.topology,
+            mr.servers.clone(),
+            pods,
+            n,
+        )
+    }
+
     fn setup() -> (MultiRack, Controller, PythiaSystem) {
         let mr = build_multi_rack(&MultiRackParams::default());
         let controller = Controller::new(
@@ -804,7 +969,7 @@ mod tests {
             ControllerConfig::default(),
             &RngFactory::new(3),
         );
-        let pythia = PythiaSystem::new(PythiaConfig::default(), &mr.topology, mr.servers.clone());
+        let pythia = single(PythiaConfig::default(), &mr, &mr.servers);
         (mr, controller, pythia)
     }
 
@@ -950,7 +1115,7 @@ mod tests {
             aggregation: AggregationPolicy::RackPair,
             ..Default::default()
         };
-        let mut py = PythiaSystem::new(cfg, &mr.topology, mr.servers.clone());
+        let mut py = single(cfg, &mr, &mr.servers);
         // Reducers 0..3 on rack-1 servers 5..8.
         for r in 0..4u32 {
             py.on_reducer_launched(
@@ -1027,7 +1192,7 @@ mod tests {
             allocation: AllocationMode::SizeBlind,
             ..Default::default()
         };
-        let mut py = PythiaSystem::new(cfg, &mr.topology, mr.servers.clone());
+        let mut py = single(cfg, &mr, &mr.servers);
         py.on_reducer_launched(SimTime::ZERO, JobId(0), ReducerId(0), ServerId(5), &mut ctl);
         py.on_reducer_launched(SimTime::ZERO, JobId(0), ReducerId(1), ServerId(6), &mut ctl);
         // One huge transfer, then two tiny ones. Size-blind counts 1 pair
@@ -1117,7 +1282,7 @@ mod tests {
         w.section("pythia", |s| py.put_state(s));
         w.section("controller", |s| ctl.put_state(s));
         let bytes = w.finish();
-        let mut py2 = PythiaSystem::new(PythiaConfig::default(), &mr.topology, mr.servers.clone());
+        let mut py2 = single(PythiaConfig::default(), &mr, &mr.servers);
         let mut ctl2 = Controller::new(
             mr.topology.clone(),
             ControllerConfig::default(),
@@ -1166,11 +1331,7 @@ mod tests {
         let (mr, mut ctl, mut py) = setup();
         py.on_reducer_launched(SimTime::ZERO, JobId(0), ReducerId(0), ServerId(5), &mut ctl);
         let bytes = snap(&py);
-        let mut small = PythiaSystem::new(
-            PythiaConfig::default(),
-            &mr.topology,
-            mr.servers[..4].to_vec(),
-        );
+        let mut small = single(PythiaConfig::default(), &mr, &mr.servers[..4]);
         let mut rd = pythia_snapshot::Reader::new(&bytes).unwrap();
         let mut sec = rd.section("pythia").unwrap();
         match small.restore_state(&mr.topology, &mut sec) {
@@ -1200,5 +1361,66 @@ mod tests {
         // The rule at tor0 must avoid the loaded trunk.
         let tor0_rule = rules.iter().find(|r| r.switch == mr.tors[0]).unwrap();
         assert_ne!(tor0_rule.rule.out_link, trunk0);
+    }
+
+    #[test]
+    fn shard_routing_follows_pods() {
+        let mr = build_multi_rack(&MultiRackParams::default());
+        let py = sharded(&mr, 2);
+        // Default multi-rack: 2 racks x 5 servers, rack-major order.
+        assert_eq!(py.shard_of(ServerId(0)), 0);
+        assert_eq!(py.shard_of(ServerId(4)), 0);
+        assert_eq!(py.shard_of(ServerId(5)), 1);
+        assert_eq!(py.shard_of(ServerId(9)), 1);
+        let one = sharded(&mr, 1);
+        assert!((0..10).all(|s| one.shard_of(ServerId(s)) == 0));
+    }
+
+    #[test]
+    fn shards_split_collection_and_sum_counters() {
+        let mr = build_multi_rack(&MultiRackParams::default());
+        let mut ctl = Controller::new(
+            mr.topology.clone(),
+            ControllerConfig::default(),
+            &RngFactory::new(3),
+        );
+        let mut py = sharded(&mr, 2);
+        assert_eq!(py.num_shards(), 2);
+        assert_eq!(py.stats(), PythiaStats::default());
+        assert_eq!(py.collector_totals(), CollectorTotals::default());
+        // Spills from both racks, delivered before their reducers launch,
+        // park in their source server's shard.
+        let index = IndexFile::from_partition_sizes(&[10_000_000, 10_000_000], 1.0);
+        for (map, server) in [(0, 0), (1, 6)] {
+            let (msg, at) = py
+                .on_spill(
+                    SimTime::ZERO,
+                    JobId(0),
+                    MapTaskId(map),
+                    ServerId(server),
+                    &index.encode(),
+                )
+                .unwrap();
+            assert!(py.on_prediction_delivered(at, &msg, &mut ctl).is_empty());
+        }
+        assert_eq!(py.parked_predictions(), 4);
+        // A reducer launch is broadcast: both shards un-park and place.
+        // Reducer 0 on server 5 is cross-rack from server 0 (rules at both
+        // ToRs) and same-rack from server 6 (one ToR rule).
+        let rules = py.on_reducer_launched(
+            SimTime::from_secs(1),
+            JobId(0),
+            ReducerId(0),
+            ServerId(5),
+            &mut ctl,
+        );
+        assert_eq!(rules.len(), 3);
+        assert_eq!(py.parked_predictions(), 2);
+        assert_eq!(py.stats().predictions_sent, 2);
+        assert!(py.outstanding(mr.servers[0], mr.servers[5]) > 0);
+        assert!(py.outstanding(mr.servers[6], mr.servers[5]) > 0);
+        assert!(py.predicted_curve(ServerId(0)).is_some());
+        assert!(py.predicted_curve(ServerId(6)).is_some());
+        assert_eq!(py.spills_decoded(ServerId(6)), 1);
     }
 }

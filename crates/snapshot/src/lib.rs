@@ -36,7 +36,9 @@ pub mod shell;
 
 /// Current on-disk snapshot format version. Bump on any layout change;
 /// readers reject other versions with [`SnapshotError::Version`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 stores the Pythia per-server instrumentation once, ahead of
+/// the collector shards (version 1 repeated it inside every shard).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"PYSN";
 

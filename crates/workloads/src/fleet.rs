@@ -18,7 +18,7 @@
 //! isolation (snapshot resume rebuilds specs by index without replaying
 //! the generator).
 
-use pythia_des::{splitmix64, SimDuration};
+use pythia_des::{fnv1a64, splitmix64, SimDuration};
 use pythia_hadoop::JobSpec;
 
 use crate::hibench::{ComputeProfile, Workload};
@@ -259,23 +259,21 @@ impl FleetSpec {
     /// every job's drawn parameters. Two specs with the same fingerprint
     /// generate byte-identical fleets; the determinism proptests pin this.
     pub fn trace_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut bytes = Vec::new();
         for (i, at) in self.arrival_times().into_iter().enumerate() {
-            eat(at.as_nanos());
             let j = self.job(i);
-            eat(j.num_maps as u64);
-            eat(j.num_reducers as u64);
-            eat(j.input_bytes);
-            eat(j.map_output_ratio.to_bits());
-            eat(fnv_str(&j.name));
+            for x in [
+                at.as_nanos(),
+                j.num_maps as u64,
+                j.num_reducers as u64,
+                j.input_bytes,
+                j.map_output_ratio.to_bits(),
+                fnv1a64(j.name.as_bytes()),
+            ] {
+                bytes.extend(x.to_le_bytes());
+            }
         }
-        h
+        fnv1a64(&bytes)
     }
 }
 
@@ -311,15 +309,6 @@ fn unit(seed: u64, stream: u64, i: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn fnv_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,6 +334,15 @@ mod tests {
         for i in [0, 7, 199] {
             assert_eq!(format!("{:?}", a.job(i)), format!("{:?}", b.job(i)));
         }
+    }
+
+    /// The fingerprint is a stable value, not just self-consistent: these
+    /// are the test fleet's and the 1000-job benchmark fleet's.
+    #[test]
+    fn trace_fingerprint_is_pinned() {
+        assert_eq!(spec().trace_fingerprint(), 0xa781_51ac_c294_3f76);
+        let bench = FleetSpec::poisson(1000, SimDuration::from_secs(4), 42);
+        assert_eq!(bench.trace_fingerprint(), 0x28a0_e61f_982f_ffaa);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! event type fired, total wall time, and mean/max per event. This is the
 //! attribution tool behind DESIGN.md §5g's per-event complexity budget —
 //! run it after touching the engine to see where dispatch time goes.
+//! Every mode runs the relaxed-order solver (pinned at runtime), the
+//! solver whose share of wall time CI budgets.
 //!
 //! ```text
 //! cargo run --release --example engine_profile            # pythia
@@ -68,12 +70,13 @@ fn main() {
             .with_scheduler(kind)
             .with_oversubscription(10)
             .with_seed(7)
+            .with_relaxed_order(true)
             .with_trace(TraceConfig::enabled());
         let start = std::time::Instant::now();
         let r = run_scenario(SortWorkload::paper_60gb().job(), &cfg);
         let wall = start.elapsed();
         let head = format!(
-            "60 GB sort / fat-tree k=8 / {}: {} events, completion {:.1}s",
+            "60 GB sort / fat-tree k=8 / {} (relaxed): {} events, completion {:.1}s",
             kind.label(),
             r.events_processed,
             r.completion().as_secs_f64()

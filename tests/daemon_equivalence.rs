@@ -4,7 +4,7 @@
 //!
 //! Every scenario pins `.with_relaxed_order(false)` — the exact
 //! accounting path whose fingerprints `tests/refcheck_fingerprint.rs`
-//! pins — so these hold identically under both cargo feature states.
+//! pins.
 
 use pythia_repro::cluster::{run_scenario_tapped, ScenarioConfig, SchedulerKind};
 use pythia_repro::daemon::{Daemon, RecordingBackend, SimDataplaneBackend};

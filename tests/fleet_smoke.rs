@@ -41,13 +41,16 @@ fn fleet_cfg(k: u32) -> ScenarioConfig {
         .with_seed(11)
 }
 
+/// The k=4 fleet on the relaxed solver (the fleet's production mode):
+/// streamed jobs, four collector shards, epoch-batched installs.
 #[test]
 fn fleet_streams_on_fat_tree_k4() {
     let fleet = small_fleet();
     let cfg = fleet_cfg(4)
         .with_stream_jobs(true)
         .with_collector_shards(4)
-        .with_install_epoch(SimDuration::from_millis(500));
+        .with_install_epoch(SimDuration::from_millis(500))
+        .with_relaxed_order(true);
     let r = run_multi_scenario(fleet.jobs(), &cfg);
     assert_eq!(r.jobs.len(), fleet.len());
     for j in &r.jobs {
@@ -95,8 +98,7 @@ fn streaming_single_shard_matches_eager_unsharded() {
 /// The 1024-server fleet: ≥1000 streamed jobs on a k=16 fat-tree with 16
 /// collector shards and epoch-batched installs, sustained above the
 /// calibration-scaled `BENCH_fleet.json` floor of 175k events/sec
-/// (relaxed-order solver — pinned at runtime so the floor holds in both
-/// cargo feature states).
+/// (relaxed-order solver, the fleet's production mode).
 #[test]
 fn fleet_1024_sustains_event_rate_gated() {
     if fleet_cap() < 1024 {

@@ -4,11 +4,10 @@
 //! checkpoint and must finish with the *identical* report fingerprint
 //! the uninterrupted run prints.
 //!
-//! This holds in both feature states: checkpoints land at settled solve
-//! points, so the checkpointing run, the killed-then-resumed run and
-//! each other's fingerprints agree under the exact and the
-//! relaxed-order solver alike (the comparison baseline is itself a
-//! checkpointing run at the same cadence).
+//! The drill runs the default (exact) solver; the comparison baseline is
+//! itself a checkpointing run at the same cadence. The relaxed solver's
+//! drill runs in process, in pythia-cluster's `snapshot_resume` suite
+//! (`relaxed_checkpointed_run_resumes_to_its_fingerprint`).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};

@@ -6,9 +6,8 @@
 //! lazy one must reproduce them byte-for-byte.
 //!
 //! Every scenario pins `.with_relaxed_order(false)`: these fingerprints
-//! define the exact accounting path, which must stay byte-identical no
-//! matter which solver the `relaxed-order` cargo feature selects by
-//! default. The relaxed solver is held to the tolerance bounds in
+//! define the exact accounting path, which must stay byte-identical. The
+//! relaxed solver is held to the tolerance bounds in
 //! `tests/relaxed_tolerance.rs` instead.
 
 use pythia_repro::cluster::{run_multi_scenario, run_scenario, ScenarioConfig, SchedulerKind};

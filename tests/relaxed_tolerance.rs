@@ -4,8 +4,8 @@
 //! bitwise deterministic — run-to-run and across solver worker counts.
 //!
 //! The exact path's byte-identical fingerprints are pinned separately in
-//! `tests/refcheck_fingerprint.rs`; this file owns everything the
-//! `relaxed-order` feature is allowed to change.
+//! `tests/refcheck_fingerprint.rs`; this file owns everything
+//! `with_relaxed_order(true)` is allowed to change.
 
 use std::collections::BTreeMap;
 
