@@ -22,7 +22,7 @@ use std::collections::BinaryHeap;
 use pythia_cluster::ControlMsg;
 use pythia_cluster::ScenarioConfig;
 use pythia_des::SimTime;
-use pythia_netsim::{FlowId, NodeId};
+use pythia_netsim::{FlowId, NodeId, Protocol};
 use pythia_openflow::{Dataplane, FlowRule, PendingRule};
 use pythia_snapshot::crc32;
 use pythia_trace::{TimedEvent, TraceEvent};
@@ -81,6 +81,45 @@ impl Ord for QueuedInstall {
     }
 }
 
+/// Bytes in one [`install_record`].
+const INSTALL_RECORD_LEN: usize = 4 + 8 + 4 + 4 + (8 + 8 + 4 + 4 + 1) + 2 + 4 + 1;
+
+/// One applied install as a fixed little-endian record, for the chained
+/// install digest: the previous digest, `due` in nanoseconds, tenant,
+/// switch, the five match fields, priority, out link and outcome (1 =
+/// installed, 0 = TCAM full). Each match field is widened past its value
+/// range so a wildcard has a sentinel (all ones) no pinned value can
+/// take. The record is hashed on the stack — no allocation per install
+/// on the apply path — and it holds the observed values themselves, not
+/// their `Debug` rendering, so the digest moves only when what was
+/// programmed does.
+fn install_record(prev: u32, q: &QueuedInstall, ok: bool) -> [u8; INSTALL_RECORD_LEN] {
+    let m = &q.rule.matcher;
+    let mut buf = [0u8; INSTALL_RECORD_LEN];
+    let mut at = 0;
+    let mut put = |bytes: &[u8]| {
+        buf[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    };
+    put(&prev.to_le_bytes());
+    put(&q.due.as_nanos().to_le_bytes());
+    put(&q.tenant.to_le_bytes());
+    put(&q.switch.0.to_le_bytes());
+    put(&m.src.map_or(u64::MAX, |n| n.0 as u64).to_le_bytes());
+    put(&m.dst.map_or(u64::MAX, |n| n.0 as u64).to_le_bytes());
+    put(&m.src_port.map_or(u32::MAX, u32::from).to_le_bytes());
+    put(&m.dst_port.map_or(u32::MAX, u32::from).to_le_bytes());
+    put(&[m.proto.map_or(u8::MAX, |p| match p {
+        Protocol::Tcp => 0,
+        Protocol::Udp => 1,
+    })]);
+    put(&q.rule.priority.to_le_bytes());
+    put(&q.rule.out_link.0.to_le_bytes());
+    put(&[ok as u8]);
+    debug_assert_eq!(at, INSTALL_RECORD_LEN);
+    buf
+}
+
 /// Installs rules into the simulator's switch TCAMs — the dataplane half
 /// of the batch engine, driven live.
 ///
@@ -125,19 +164,10 @@ impl SimDataplaneBackend {
             } else {
                 self.tcam_rejected += 1;
             }
-            // Chain the CRC over every applied install (time, tenant,
-            // switch, rule, outcome): two daemons with the same digest
-            // programmed the same rules in the same order.
-            let line = format!(
-                "{:08x}|{}|{}|{:?}|{:?}|{}",
-                self.crc,
-                q.due.as_nanos(),
-                q.tenant,
-                q.switch,
-                q.rule,
-                ok
-            );
-            self.crc = crc32(line.as_bytes());
+            // Chain the digest over every applied install: two daemons
+            // with the same digest programmed the same rules, in the same
+            // order and at the same times, with the same outcomes.
+            self.crc = crc32(&install_record(self.crc, &q, ok));
         }
     }
 
@@ -394,6 +424,75 @@ mod tests {
         assert_eq!(b.pending_len(), 0);
         b.finish(SimTime::ZERO);
         assert_eq!(b.installed(), 0);
+    }
+
+    /// Install digest of a replay on the default fabric: every
+    /// `(tenant, rule)` issued at t = 0, then the stream finishes.
+    fn digest(tcam_capacity: usize, installs: &[(u32, PendingRule)]) -> u32 {
+        let cfg = ScenarioConfig {
+            tcam_capacity,
+            ..ScenarioConfig::default()
+        };
+        let mut b = SimDataplaneBackend::from_config(&cfg);
+        for (tenant, p) in installs {
+            b.install(SimTime::ZERO, *tenant, std::slice::from_ref(p));
+        }
+        b.finish(SimTime::MAX);
+        b.install_crc()
+    }
+
+    #[test]
+    fn install_digest_notices_every_field() {
+        let mr = ScenarioConfig::default().topology.build();
+        let on_tor = |src, dst| PendingRule {
+            switch: mr.tors[0],
+            ..rule(src, dst, 0)
+        };
+        // Both installs are due at 5 ms and both fit the TCAM.
+        let base = [(1, on_tor(1, 2)), (1, on_tor(3, 4))];
+        let base_crc = digest(2000, &base);
+        assert_eq!(base_crc, digest(2000, &base), "digest is deterministic");
+
+        // Each variant changes exactly one observed field of one install.
+        let edit = |f: &dyn Fn(&mut (u32, PendingRule))| {
+            let mut v = base.clone();
+            f(&mut v[1]);
+            digest(2000, &v)
+        };
+        let variants = [
+            ("due", edit(&|(_, p)| p.delay = SimDuration::from_millis(6))),
+            ("tenant", edit(&|(t, _)| *t = 2)),
+            ("switch", edit(&|(_, p)| p.switch = mr.tors[1])),
+            ("src wildcard", edit(&|(_, p)| p.rule.matcher.src = None)),
+            ("dst wildcard", edit(&|(_, p)| p.rule.matcher.dst = None)),
+            // Pinned to the largest value, which must still differ from
+            // the wildcard sentinel.
+            (
+                "src_port pinned",
+                edit(&|(_, p)| p.rule.matcher.src_port = Some(u16::MAX)),
+            ),
+            (
+                "dst_port pinned",
+                edit(&|(_, p)| p.rule.matcher.dst_port = Some(u16::MAX)),
+            ),
+            (
+                "proto pinned",
+                edit(&|(_, p)| p.rule.matcher.proto = Some(Protocol::Udp)),
+            ),
+            ("priority", edit(&|(_, p)| p.rule.priority = 101)),
+            (
+                "out_link",
+                edit(&|(_, p)| p.rule.out_link = pythia_netsim::LinkId(1)),
+            ),
+            // A one-rule TCAM rejects the second install: only the
+            // outcome differs.
+            ("outcome", digest(1, &base)),
+            // Same due instant, opposite issue order.
+            ("order", digest(2000, &[base[1].clone(), base[0].clone()])),
+        ];
+        for (field, crc) in variants {
+            assert_ne!(crc, base_crc, "changing {field} left the digest unchanged");
+        }
     }
 
     // Helper so the ordering test can override only the delay.

@@ -50,13 +50,14 @@ pub struct FlowTable {
     pub lookups: u64,
     /// Lookups that matched no rule.
     pub misses: u64,
-    /// Lookup accelerator, rebuilt lazily after mutations: positions of
+    /// Lookup accelerator, rebuilt lazily after removals: positions of
     /// exact endpoint-pair rules keyed and sorted by `(src, dst)`, plus
     /// positions of every other (wildcarded-endpoint) rule. A rule whose
     /// matcher pins both endpoints can only ever match that one pair, so
     /// `pair_index` range + `wild_index` is a superset of the matching
     /// rules for any tuple; the winner under the total `(priority, seq)`
-    /// order is the same one the full scan would pick.
+    /// order is the same one the full scan would pick. `install` finds
+    /// its duplicate `(matcher, priority)` through the same index.
     pair_index: Vec<(u32, u32, u32)>,
     wild_index: Vec<u32>,
     index_dirty: bool,
@@ -116,14 +117,13 @@ impl FlowTable {
     /// exists it is **replaced** (OpenFlow modify semantics); otherwise the
     /// rule is added, failing if the table is full.
     pub fn install(&mut self, rule: FlowRule) -> Result<(), TableError> {
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.rule.matcher == rule.matcher && e.rule.priority == rule.priority)
-        {
+        if self.index_dirty {
+            self.rebuild_index();
+        }
+        if let Some(pos) = self.position_of(&rule.matcher, rule.priority) {
             // In-place replace: the matcher (and thus the index) is
             // unchanged; only the action differs.
-            e.rule = rule;
+            self.entries[pos].rule = rule;
             return Ok(());
         }
         if self.entries.len() >= self.capacity {
@@ -134,20 +134,44 @@ impl FlowTable {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.entries.push(Entry { rule, seq });
-        if !self.index_dirty {
-            // Incremental index insert; a full (lazy) rebuild is only ever
-            // needed after removals shift entry positions.
-            let pos = (self.entries.len() - 1) as u32;
-            match (rule.matcher.src, rule.matcher.dst) {
-                (Some(s), Some(d)) => {
-                    let key = (s.0, d.0, pos);
-                    let at = self.pair_index.partition_point(|&e| e < key);
-                    self.pair_index.insert(at, key);
-                }
-                _ => self.wild_index.push(pos),
+        // Incremental index insert; a full (lazy) rebuild is only ever
+        // needed after removals shift entry positions.
+        let pos = (self.entries.len() - 1) as u32;
+        match (rule.matcher.src, rule.matcher.dst) {
+            (Some(s), Some(d)) => {
+                let key = (s.0, d.0, pos);
+                let at = self.pair_index.partition_point(|&e| e < key);
+                self.pair_index.insert(at, key);
             }
+            _ => self.wild_index.push(pos),
         }
         Ok(())
+    }
+
+    /// Positions of the rules pinning exactly the endpoint pair `(src,
+    /// dst)` (clean index required).
+    fn pair_positions(&self, src: u32, dst: u32) -> impl Iterator<Item = u32> + '_ {
+        let key = (src, dst);
+        let start = self.pair_index.partition_point(|&(s, d, _)| (s, d) < key);
+        self.pair_index[start..]
+            .iter()
+            .take_while(move |&&(s, d, _)| (s, d) == key)
+            .map(|&(_, _, pos)| pos)
+    }
+
+    /// Position of the rule with this exact matcher and priority, if any
+    /// (clean index required). A rule pinning both endpoints can only sit
+    /// in its pair's index range; any other rule sits in `wild_index`.
+    fn position_of(&self, matcher: &FlowMatch, priority: u16) -> Option<usize> {
+        let same = |&pos: &u32| {
+            let r = &self.entries[pos as usize].rule;
+            r.matcher == *matcher && r.priority == priority
+        };
+        let pos = match (matcher.src, matcher.dst) {
+            (Some(s), Some(d)) => self.pair_positions(s.0, d.0).find(same),
+            _ => self.wild_index.iter().copied().find(same),
+        };
+        pos.map(|p| p as usize)
     }
 
     /// Remove all rules with the given matcher. Returns how many were
@@ -173,13 +197,8 @@ impl FlowTable {
         // rule with a wildcarded endpoint. `(priority, seq)` is a total
         // order (seqs are unique), so the max over this superset is
         // exactly the full scan's winner.
-        let key = (tuple.src.0, tuple.dst.0);
-        let start = self.pair_index.partition_point(|&(s, d, _)| (s, d) < key);
-        let pair = self.pair_index[start..]
-            .iter()
-            .take_while(|&&(s, d, _)| (s, d) == key)
-            .map(|&(_, _, pos)| pos);
-        let hit = pair
+        let hit = self
+            .pair_positions(tuple.src.0, tuple.dst.0)
             .chain(self.wild_index.iter().copied())
             .map(|pos| &self.entries[pos as usize])
             .filter(|e| e.rule.matcher.matches(tuple))
@@ -247,6 +266,7 @@ impl Persist for FlowTable {
         }
         let mut entries = Vec::with_capacity(n);
         let mut seqs = std::collections::BTreeSet::new();
+        let mut keys = std::collections::HashSet::with_capacity(n);
         for _ in 0..n {
             let rule = FlowRule::get(r)?;
             let seq = u64::get(r)?;
@@ -256,10 +276,7 @@ impl Persist for FlowTable {
             if !seqs.insert(seq) {
                 return Err(r.malformed(format!("duplicate rule seq {seq}")));
             }
-            if entries
-                .iter()
-                .any(|e: &Entry| e.rule.matcher == rule.matcher && e.rule.priority == rule.priority)
-            {
+            if !keys.insert((rule.matcher, rule.priority)) {
                 return Err(r.malformed("duplicate (matcher, priority) rule"));
             }
             entries.push(Entry { rule, seq });
@@ -347,6 +364,53 @@ mod tests {
         assert_eq!(t.remove(&m), 1);
         assert!(t.lookup(&tuple(1)).is_none());
         assert_eq!(t.remove(&m), 0);
+    }
+
+    fn restore(bytes: &[u8]) -> Result<FlowTable, SnapshotError> {
+        let mut r = pythia_snapshot::Reader::new(bytes)?;
+        r.section("table")?.get::<FlowTable>()
+    }
+
+    #[test]
+    fn snapshot_round_trips_rules_and_tie_breaks() {
+        let mut t = FlowTable::new(8);
+        let m = FlowMatch::server_pair(NodeId(1), NodeId(2));
+        t.install(rule(m, 5, 1)).unwrap();
+        t.install(rule(m, 6, 2)).unwrap(); // same matcher, other priority
+        t.install(rule(FlowMatch::ANY, 6, 3)).unwrap();
+        let mut w = pythia_snapshot::Writer::new();
+        w.section("table", |s| s.put(&t));
+        let mut back = restore(&w.finish()).unwrap();
+        assert_eq!(back.len(), 3);
+        assert_eq!(back.lookup(&tuple(1)), t.lookup(&tuple(1)));
+        // The restored (dirty) index still finds the duplicate to replace.
+        back.install(rule(m, 5, 7)).unwrap();
+        assert_eq!(back.len(), 3);
+    }
+
+    #[test]
+    fn snapshot_with_duplicate_rule_is_rejected() {
+        let m = FlowMatch::server_pair(NodeId(1), NodeId(2));
+        // Two entries with distinct seqs but the same (matcher, priority):
+        // install would have replaced the first, so no real table holds both.
+        let mut w = pythia_snapshot::Writer::new();
+        w.section("table", |s| {
+            s.put(&8u64); // capacity
+            s.put(&2u64); // next_seq
+            s.put(&0u64); // lookups
+            s.put(&0u64); // misses
+            s.put(&2u64); // entries
+            s.put(&rule(m, 5, 1));
+            s.put(&0u64);
+            s.put(&rule(m, 5, 2));
+            s.put(&1u64);
+        });
+        match restore(&w.finish()) {
+            Err(SnapshotError::Malformed { detail, .. }) => {
+                assert_eq!(detail, "duplicate (matcher, priority) rule");
+            }
+            other => panic!("duplicate rule restored: {other:?}"),
+        }
     }
 
     #[test]

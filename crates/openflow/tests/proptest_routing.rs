@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use pythia_netsim::{build_multi_rack, FiveTuple, LinkId, MultiRackParams, NodeId, Protocol};
 use pythia_openflow::{
     k_shortest_paths, k_shortest_paths_avoiding, shortest_path, EcmpNextHops, FlowMatch, FlowRule,
-    FlowTable,
+    FlowTable, TableError,
 };
 
 fn params() -> impl Strategy<Value = MultiRackParams> {
@@ -114,13 +114,40 @@ proptest! {
     }
 }
 
-/// Naive reference flow table: a Vec scanned for the best match.
+/// Naive reference flow table: a Vec scanned for the best match, the
+/// duplicate to replace and the rules to remove.
 struct RefTable {
     rules: Vec<(FlowRule, u64)>,
     seq: u64,
+    capacity: usize,
 }
 
 impl RefTable {
+    fn install(&mut self, rule: FlowRule) -> Result<(), TableError> {
+        if let Some(e) = self
+            .rules
+            .iter_mut()
+            .find(|(r, _)| r.matcher == rule.matcher && r.priority == rule.priority)
+        {
+            e.0 = rule;
+            return Ok(());
+        }
+        if self.rules.len() >= self.capacity {
+            return Err(TableError::TableFull {
+                capacity: self.capacity,
+            });
+        }
+        self.rules.push((rule, self.seq));
+        self.seq += 1;
+        Ok(())
+    }
+
+    fn remove(&mut self, m: &FlowMatch) -> usize {
+        let before = self.rules.len();
+        self.rules.retain(|(r, _)| r.matcher != *m);
+        before - self.rules.len()
+    }
+
     fn lookup(&self, t: &FiveTuple) -> Option<FlowRule> {
         self.rules
             .iter()
@@ -128,6 +155,40 @@ impl RefTable {
             .max_by(|(a, sa), (b, sb)| a.priority.cmp(&b.priority).then(sb.cmp(sa)))
             .map(|(r, _)| *r)
     }
+
+    /// The `sel`-th resident rule (wrapping), if any.
+    fn pick(&self, sel: usize) -> Option<FlowRule> {
+        (!self.rules.is_empty()).then(|| self.rules[sel % self.rules.len()].0)
+    }
+}
+
+/// One step against a flow table.
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// Install a random rule.
+    Install(FlowMatch, u16, u32),
+    /// Re-install a resident rule's `(matcher, priority)` with a new
+    /// action: a replace, which must succeed even when the table is full.
+    Replace(usize, u32),
+    /// Remove a resident rule's matcher (or a random one when empty),
+    /// leaving the lookup index dirty.
+    Remove(usize, FlowMatch),
+    /// Look a tuple up.
+    Lookup(FiveTuple),
+}
+
+fn arb_op() -> impl Strategy<Value = TableOp> {
+    let install =
+        || (arb_match(), 0u16..4, 0u32..8).prop_map(|(m, p, l)| TableOp::Install(m, p, l));
+    // Install listed twice: the table should fill (and hit `TableFull`)
+    // faster than removals drain it.
+    prop_oneof![
+        install(),
+        install(),
+        (any::<usize>(), 0u32..8).prop_map(|(i, l)| TableOp::Replace(i, l)),
+        (any::<usize>(), arb_match()).prop_map(|(i, m)| TableOp::Remove(i, m)),
+        arb_tuple().prop_map(TableOp::Lookup),
+    ]
 }
 
 fn arb_match() -> impl Strategy<Value = FlowMatch> {
@@ -160,33 +221,40 @@ fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The flow table agrees with the naive reference on random rule sets
-    /// and lookups (same matcher+priority replacement semantics).
+    /// The flow table agrees with the naive reference under interleaved
+    /// installs, removes and lookups on a tiny TCAM: every install result
+    /// (`TableFull`, replace-when-full), every removal count, `len()` and
+    /// every lookup. Removals dirty the lookup index, so installs and
+    /// lookups after them take the rebuild path.
     #[test]
     fn flow_table_matches_reference(
-        rules in proptest::collection::vec((arb_match(), 0u16..4, 0u32..8), 0..20),
-        lookups in proptest::collection::vec(arb_tuple(), 1..20),
+        capacity in 1usize..=6,
+        ops in proptest::collection::vec(arb_op(), 1..48),
     ) {
-        let mut table = FlowTable::new(1000);
-        let mut reference = RefTable { rules: Vec::new(), seq: 0 };
-        for (m, prio, link) in rules {
-            let rule = FlowRule { matcher: m, priority: prio, out_link: LinkId(link) };
-            table.install(rule).unwrap();
-            // Reference replacement semantics.
-            if let Some(e) = reference
-                .rules
-                .iter_mut()
-                .find(|(r, _)| r.matcher == m && r.priority == prio)
-            {
-                e.0 = rule;
-            } else {
-                let s = reference.seq;
-                reference.seq += 1;
-                reference.rules.push((rule, s));
+        let mut table = FlowTable::new(capacity);
+        let mut reference = RefTable { rules: Vec::new(), seq: 0, capacity };
+        for op in ops {
+            match op {
+                TableOp::Install(m, prio, link) => {
+                    let rule = FlowRule { matcher: m, priority: prio, out_link: LinkId(link) };
+                    prop_assert_eq!(table.install(rule), reference.install(rule), "{:?}", rule);
+                }
+                TableOp::Replace(sel, link) => {
+                    if let Some(r) = reference.pick(sel) {
+                        let rule = FlowRule { out_link: LinkId(link), ..r };
+                        prop_assert_eq!(table.install(rule), Ok(()));
+                        prop_assert_eq!(reference.install(rule), Ok(()));
+                    }
+                }
+                TableOp::Remove(sel, m) => {
+                    let m = reference.pick(sel).map_or(m, |r| r.matcher);
+                    prop_assert_eq!(table.remove(&m), reference.remove(&m), "{:?}", m);
+                }
+                TableOp::Lookup(t) => {
+                    prop_assert_eq!(table.lookup(&t), reference.lookup(&t), "tuple {}", t);
+                }
             }
-        }
-        for t in &lookups {
-            prop_assert_eq!(table.lookup(t), reference.lookup(t), "tuple {}", t);
+            prop_assert_eq!(table.len(), reference.rules.len());
         }
     }
 }

@@ -69,11 +69,12 @@ fn daemon_replay_matches_batch_refcheck() {
         report.degradation.rules_tcam_rejected
     );
     assert_eq!(d.backend().pending_len(), 0);
-    // Order-sensitive digest over (due time, tenant, switch, rule,
-    // outcome) of every applied install. A changed constant here means
-    // the daemon programmed different rules, a different order, or
-    // different timing than this pinned exact-path run.
-    assert_eq!(d.backend().install_crc(), 0x847d_dc70);
+    // Order-sensitive digest chained over a fixed binary record (due
+    // time, tenant, switch, match fields, priority, out link, outcome) of
+    // every applied install. A changed constant here means the daemon
+    // programmed different rules, a different order, or different timing
+    // than this pinned exact-path run.
+    assert_eq!(d.backend().install_crc(), 0xef80_0f57);
 }
 
 #[test]
@@ -94,6 +95,7 @@ fn daemon_replay_matches_batch_refcheck_second_seed() {
         d.backend().tcam_rejected(),
         report.degradation.rules_tcam_rejected
     );
+    assert_eq!(d.backend().install_crc(), 0x11d8_2296);
 }
 
 #[test]
