@@ -51,7 +51,7 @@ pub use engine::{
     run_scenario_tapped,
 };
 pub use pythia_snapshot::SnapshotError;
-pub use report::{JobOutcome, MultiRunReport, RunReport};
+pub use report::{Fingerprint, JobOutcome, MultiRunReport, RunReport};
 pub use service::{
     dispatch_control, tenant_of, ControlMsg, ServiceCore, ServiceError, SYSTEM_TENANT,
 };

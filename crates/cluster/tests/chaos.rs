@@ -129,10 +129,7 @@ fn chaos_degradation_counters_tell_the_story() {
 fn chaos_is_deterministic() {
     let a = run_chaos(SchedulerKind::Pythia, 7);
     let b = run_chaos(SchedulerKind::Pythia, 7);
-    assert_eq!(a.completion(), b.completion());
-    assert_eq!(a.events_processed, b.events_processed);
-    assert_eq!(a.rules_installed, b.rules_installed);
-    assert_eq!(a.degradation, b.degradation);
+    assert_eq!(a.fingerprint(), b.fingerprint());
     let c = run_chaos(SchedulerKind::Pythia, 8);
     assert_ne!(a.completion(), c.completion());
 }
@@ -155,12 +152,9 @@ fn chaos_survives_mid_run_checkpoint_restore() {
     let snap = capture_multi_snapshot(jobs(), &cfg, mid).expect("mid-chaos capture");
     let resumed = resume_multi_from_bytes(jobs(), &cfg, &snap).expect("mid-chaos resume");
 
-    assert_eq!(full.events_processed, resumed.events_processed);
-    assert_eq!(full.rules_installed, resumed.rules_installed);
-    assert_eq!(full.makespan(), resumed.makespan());
     // Every fault counter — losses, retries exhausted, dedups, parked
-    // expiries, outage bookkeeping — must match the uninterrupted run.
-    assert_eq!(full.degradation, resumed.degradation);
+    // expiries, outage bookkeeping — is part of the fingerprint.
+    assert_eq!(full.fingerprint(), resumed.fingerprint());
     // And the run really was chaotic: the snapshot carried live retry
     // state, not a quiet simulation.
     assert!(resumed.degradation.prediction_transmissions_lost > 0);
@@ -212,9 +206,7 @@ fn zero_probability_knobs_change_nothing() {
     cfg.controller.install_timeout_prob = 0.0;
     let armed = run_scenario(job(40, 8), &cfg);
     let plain = run_clean(SchedulerKind::Pythia, 42);
-    assert_eq!(armed.completion(), plain.completion());
-    assert_eq!(armed.events_processed, plain.events_processed);
-    assert_eq!(armed.rules_installed, plain.rules_installed);
+    assert_eq!(armed.fingerprint(), plain.fingerprint());
     assert!(armed.degradation.is_clean(), "{}", armed.degradation);
 }
 
@@ -291,8 +283,6 @@ proptest! {
         ).unwrap();
         let resumed =
             pythia_cluster::resume_multi_from_bytes(jobs(), &exact_cfg, &snap).unwrap();
-        prop_assert_eq!(full.events_processed, resumed.events_processed);
-        prop_assert_eq!(full.makespan(), resumed.makespan());
-        prop_assert_eq!(&full.degradation, &resumed.degradation);
+        prop_assert_eq!(full.fingerprint(), resumed.fingerprint());
     }
 }

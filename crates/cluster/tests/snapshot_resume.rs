@@ -2,15 +2,15 @@
 //! resumes byte-identically (exact solver path), forks onto new chaos
 //! schedules, and turns every corrupt snapshot into a typed error.
 //!
-//! The exact-path tests pin `with_relaxed_order(false)` and assert full
-//! report equality. The relaxed legs pin `true`: a relaxed checkpointing
-//! run resumes to its own fingerprint, and a relaxed resume stays within
-//! the published tolerance of the exact run.
+//! The exact-path tests pin `with_relaxed_order(false)` and assert equal
+//! canonical report fingerprints. The relaxed legs pin `true`: a relaxed
+//! checkpointing run resumes to its own fingerprint, and a relaxed resume
+//! stays within the published tolerance of the exact run.
 
 use pythia_cluster::{
     capture_multi_snapshot, compare_tolerance, fork_multi_scenario, resume_multi_from_bytes,
     resume_multi_scenario, run_multi_scenario, run_multi_scenario_checkpointed, CheckpointPolicy,
-    ControllerOutage, MultiRunReport, ScenarioConfig, SchedulerKind, SnapshotError,
+    ControllerOutage, ScenarioConfig, SchedulerKind, SnapshotError,
 };
 use pythia_core::MgmtNetConfig;
 use pythia_des::SimDuration;
@@ -71,13 +71,6 @@ fn clean_cfg(seed: u64) -> ScenarioConfig {
         .with_relaxed_order(false)
 }
 
-/// Full-report fingerprint: the `Debug` rendering covers every field —
-/// timelines, flow traces, curves, degradation counters, event counts —
-/// so two equal strings mean observably identical runs.
-fn fp(r: &MultiRunReport) -> String {
-    format!("{r:?}")
-}
-
 #[test]
 fn exact_resume_reproduces_uninterrupted_run() {
     let cfg = chaosy_cfg(7);
@@ -91,14 +84,14 @@ fn exact_resume_reproduces_uninterrupted_run() {
     let snap = capture_multi_snapshot(jobs(16, 4), &cfg, mid).expect("capture");
     let resumed = resume_multi_from_bytes(jobs(16, 4), &cfg, &snap).expect("resume");
     assert_eq!(
-        fp(&full),
-        fp(&resumed),
+        full.fingerprint(),
+        resumed.fingerprint(),
         "resumed run diverged from the uninterrupted one"
     );
 
     // Resuming the same bytes twice is deterministic.
     let again = resume_multi_from_bytes(jobs(16, 4), &cfg, &snap).expect("second resume");
-    assert_eq!(fp(&resumed), fp(&again));
+    assert_eq!(resumed.fingerprint(), again.fingerprint());
 
     // The fixture actually saw faults — the snapshot carried retry and
     // outage state, not a quiet simulation.
@@ -118,8 +111,8 @@ fn checkpointed_run_matches_plain_and_resumes_from_disk() {
     let checkpointed =
         run_multi_scenario_checkpointed(jobs(16, 4), &cfg, &policy).expect("checkpointed run");
     assert_eq!(
-        fp(&plain),
-        fp(&checkpointed),
+        plain.fingerprint(),
+        checkpointed.fingerprint(),
         "periodic checkpointing perturbed the exact-path run"
     );
 
@@ -135,7 +128,7 @@ fn checkpointed_run_matches_plain_and_resumes_from_disk() {
     // Pick the last checkpoint back up — kill -9 after the final write
     // would leave exactly this state — and run the tail to completion.
     let resumed = resume_multi_scenario(jobs(16, 4), &cfg, &dir, None).expect("resume from disk");
-    assert_eq!(fp(&plain), fp(&resumed));
+    assert_eq!(plain.fingerprint(), resumed.fingerprint());
 
     // A different scenario must be refused, not silently diverge.
     let other = chaosy_cfg(12);
@@ -214,8 +207,8 @@ fn fork_reproduces_cold_start_chaos_run() {
     let cold = run_multi_scenario(jobs(16, 4), &chaos);
     let forked = fork_multi_scenario(jobs(16, 4), &chaos, &warm).expect("fork");
     assert_eq!(
-        fp(&cold),
-        fp(&forked),
+        cold.fingerprint(),
+        forked.fingerprint(),
         "forked chaos run diverged from the cold start"
     );
     assert_eq!(forked.into_single().degradation.controller_outages, 1);
@@ -278,8 +271,8 @@ fn relaxed_checkpointed_run_resumes_to_its_fingerprint() {
     let resumed =
         resume_multi_scenario(jobs(16, 4), &cfg, &dir, Some(&policy)).expect("resume from disk");
     assert_eq!(
-        fp(&checkpointed),
-        fp(&resumed),
+        checkpointed.fingerprint(),
+        resumed.fingerprint(),
         "relaxed resume diverged from the uninterrupted checkpointing run"
     );
 

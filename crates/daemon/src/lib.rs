@@ -21,7 +21,6 @@
 
 pub mod archive;
 pub mod backend;
-pub mod hist;
 pub mod server;
 
 use std::collections::VecDeque;
@@ -32,10 +31,10 @@ use pythia_cluster::{tenant_of, ControlMsg, ScenarioConfig, ServiceCore, Service
 use pythia_core::PredictionMsg;
 use pythia_des::{SimDuration, SimTime};
 use pythia_hadoop::{JobId, MapTaskId, ReducerId, ServerId};
+use pythia_trace::SpanHist;
 
 pub use archive::InstallArchive;
 pub use backend::{InstallBackend, InstallRecord, RecordingBackend, SimDataplaneBackend};
-pub use hist::LatencyHistogram;
 pub use server::{DaemonHandle, DaemonReport};
 
 /// Ingest/dispatch counters. `shed` only ever grows when the bounded
@@ -62,7 +61,7 @@ pub struct Daemon<B: InstallBackend> {
     queue: VecDeque<(SimTime, Instant, ControlMsg)>,
     capacity: usize,
     stats: DaemonStats,
-    hist: LatencyHistogram,
+    hist: SpanHist,
     now: SimTime,
     /// Scratch: enqueue instants of the batch being pumped, reused so
     /// the drain loop does not allocate per pump.
@@ -84,7 +83,7 @@ impl<B: InstallBackend> Daemon<B> {
             queue: VecDeque::new(),
             capacity: queue_capacity.max(1),
             stats: DaemonStats::default(),
-            hist: LatencyHistogram::new(),
+            hist: SpanHist::default(),
             now: SimTime::ZERO,
             lat_scratch: Vec::new(),
         })
@@ -137,7 +136,8 @@ impl<B: InstallBackend> Daemon<B> {
             stats.rules_emitted += rules.len() as u64;
             backend.install(at, tenant_of(msg), &rules);
             backend.observe(at, msg);
-            hist.record(latencies[i].elapsed());
+            let wall_ns = latencies[i].elapsed().as_nanos();
+            hist.observe(u64::try_from(wall_ns).unwrap_or(u64::MAX));
             i += 1;
             stats.processed += 1;
             *now = (*now).max(at);
@@ -158,7 +158,7 @@ impl<B: InstallBackend> Daemon<B> {
     }
 
     /// The ingest→install wall-clock latency histogram.
-    pub fn hist(&self) -> &LatencyHistogram {
+    pub fn hist(&self) -> &SpanHist {
         &self.hist
     }
 
@@ -174,7 +174,7 @@ impl<B: InstallBackend> Daemon<B> {
 
     /// Tear down into the service core (trace access), the backend, the
     /// counters, and the latency histogram.
-    pub fn into_parts(self) -> (ServiceCore, B, DaemonStats, LatencyHistogram) {
+    pub fn into_parts(self) -> (ServiceCore, B, DaemonStats, SpanHist) {
         (self.core, self.backend, self.stats, self.hist)
     }
 }
@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(s.processed, s.ingested);
         assert!(s.rules_emitted > 0, "allocator placed nothing");
         assert!(d.backend().installed() > 0);
-        assert_eq!(d.hist().count(), s.processed);
+        assert_eq!(d.hist().count, s.processed);
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub mod time;
 
 pub use persist::{get_rng, put_rng};
 pub use queue::{EventId, EventQueue};
-pub use rng::{fnv1a64, splitmix64, RngFactory};
+pub use rng::{fnv1a64, splitmix64, Fnv1a64, RngFactory};
 pub use time::{SimDuration, SimTime};

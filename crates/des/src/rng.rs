@@ -44,14 +44,35 @@ impl RngFactory {
 /// FNV-1a 64-bit hash. Also used by the ECMP baseline for 5-tuple hashing,
 /// so it lives here in the kernel crate.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+    let mut h = Fnv1a64::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a64`]: writing bytes in pieces hashes the same as one
+/// call over their concatenation, without buffering them.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Fold `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// SplitMix64 finalizer — a strong 64-bit mixing function.
@@ -104,6 +125,10 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        let mut h = Fnv1a64::default();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! with [`pythia_cluster::capture_multi_snapshot`] and forks it onto
 //! each fault schedule with [`pythia_cluster::fork_multi_scenario`],
 //! then verifies the shortcut changed nothing: on the exact solver path
-//! every forked run must be observably identical (full-report
-//! fingerprint) to the cold start of the same schedule.
+//! every forked run must be observably identical (canonical report
+//! fingerprint, [`pythia_cluster::Fingerprint`]) to the cold start of the
+//! same schedule.
 
 use std::time::Instant;
 
@@ -33,7 +34,7 @@ pub struct ForkSweepRow {
     pub jct_cold_secs: f64,
     /// Forked completion, seconds.
     pub jct_forked_secs: f64,
-    /// Whether the full report fingerprints matched exactly.
+    /// Whether the canonical report fingerprints matched exactly.
     pub identical: bool,
     /// Controller outages absorbed (sanity: the schedule really fired).
     pub outages_absorbed: u64,
@@ -109,10 +110,6 @@ impl ForkSweepTable {
         }
         t
     }
-}
-
-fn fingerprint(r: &MultiRunReport) -> String {
-    format!("{r:?}")
 }
 
 /// The simulation clock a snapshot was taken at — the first field of
@@ -201,7 +198,7 @@ pub fn run(scale: &FigureScale) -> ForkSweepTable {
             outage: (clean_jct * p, clean_jct * (p + 0.15)),
             jct_cold_secs: cold.makespan().as_secs_f64(),
             jct_forked_secs: fork.makespan().as_secs_f64(),
-            identical: fingerprint(cold) == fingerprint(fork),
+            identical: cold.fingerprint() == fork.fingerprint(),
             outages_absorbed: fork.degradation.controller_outages,
         })
         .collect();

@@ -34,11 +34,13 @@ fn push_json_value(out: &mut String, v: &Field) {
             let _ = write!(out, "{n}");
         }
         Field::F(x) => {
-            // Infinities/NaN are not valid JSON; clamp defensively.
+            // Infinities/NaN are not JSON numbers: write them as strings
+            // ("inf", "-inf", "NaN") so they stay distinct from any finite
+            // value (an empty path's residual is infinite).
             if x.is_finite() {
                 let _ = write!(out, "{x}");
             } else {
-                out.push('0');
+                let _ = write!(out, "\"{x}\"");
             }
         }
         Field::B(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -783,6 +785,36 @@ mod tests {
             .collect();
         assert_eq!(phases.iter().filter(|p| **p == "b").count(), 1);
         assert_eq!(phases.iter().filter(|p| **p == "e").count(), 1);
+    }
+
+    #[test]
+    fn non_finite_floats_export_as_distinct_strings() {
+        let line = |resid_bps: f64| {
+            to_jsonl(&[TimedEvent {
+                t: SimTime::ZERO,
+                seq: 0,
+                event: TraceEvent::AllocPlace {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    bytes: 1,
+                    outcome: AllocOutcome::Assign,
+                    links: Vec::new(),
+                    resid_bps,
+                },
+            }])
+        };
+        for (x, shown) in [
+            (f64::INFINITY, "\"inf\""),
+            (f64::NAN, "\"NaN\""),
+            (0.0, "0"),
+        ] {
+            let jsonl = line(x);
+            assert!(
+                jsonl.contains(&format!("\"resid_bps\":{shown}}}")),
+                "{jsonl}"
+            );
+            validate_jsonl(&jsonl).expect("valid JSON");
+        }
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub mod export;
 pub mod recorder;
 
 pub use event::{AllocOutcome, Component, TimedEvent, TraceEvent};
-pub use recorder::{SpanGuard, Trace, TraceConfig, TraceStats};
+pub use recorder::{SpanGuard, SpanHist, Trace, TraceConfig, TraceStats};

@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pythia_des::SimTime;
 
@@ -99,7 +99,13 @@ impl TraceConfig {
     }
 }
 
-/// Log₂-bucketed wall-clock histogram for one span label.
+/// Log₂-bucketed wall-clock histogram: one per span label, and the
+/// daemon's ingest→install latency.
+///
+/// 40 buckets cover 1 ns to ~18 minutes with constant memory and O(1)
+/// record. Quantiles are read from the bucket bounds, so a reported p99
+/// is an upper bound accurate to a factor of two; the maximum is kept
+/// exactly so no quantile reports past the worst observed sample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanHist {
     /// Completed spans.
@@ -127,7 +133,8 @@ impl Default for SpanHist {
 }
 
 impl SpanHist {
-    fn observe(&mut self, wall_ns: u64) {
+    /// Record one sample of `wall_ns` nanoseconds.
+    pub fn observe(&mut self, wall_ns: u64) {
         self.count += 1;
         self.total_wall_ns += wall_ns;
         self.max_wall_ns = self.max_wall_ns.max(wall_ns);
@@ -140,6 +147,40 @@ impl SpanHist {
         (self.total_wall_ns + self.count / 2)
             .checked_div(self.count)
             .unwrap_or(0)
+    }
+
+    /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound of its bucket,
+    /// clamped to the exact maximum; the top bucket's bound is the
+    /// maximum itself. Zero for an empty histogram.
+    pub fn quantile(&self, q: f64) -> Duration {
+        if self.count == 0 {
+            return Duration::ZERO;
+        }
+        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (b, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= target {
+                // The top bucket is open-ended: its bound is the max.
+                let upper = if b + 1 < self.buckets.len() {
+                    (1u64 << (b + 1)) - 1
+                } else {
+                    u64::MAX
+                };
+                return Duration::from_nanos(upper.min(self.max_wall_ns));
+            }
+        }
+        Duration::from_nanos(self.max_wall_ns)
+    }
+
+    /// Median upper bound.
+    pub fn p50(&self) -> Duration {
+        self.quantile(0.50)
+    }
+
+    /// Tail upper bound.
+    pub fn p99(&self) -> Duration {
+        self.quantile(0.99)
     }
 }
 
@@ -442,6 +483,60 @@ mod tests {
         let evs = t.take_events();
         assert_eq!(evs.len(), 1);
         assert!(matches!(evs[0].event, TraceEvent::Span { name: "op", .. }));
+    }
+
+    #[test]
+    fn empty_hist_quantiles_are_zero() {
+        let h = SpanHist::default();
+        assert_eq!(h.count, 0);
+        assert_eq!(h.p50(), Duration::ZERO);
+        assert_eq!(h.p99(), Duration::ZERO);
+    }
+
+    #[test]
+    fn quantiles_bound_the_samples() {
+        let mut h = SpanHist::default();
+        for ns in [100u64, 200, 300, 400, 1_000_000] {
+            h.observe(ns);
+        }
+        assert_eq!(h.count, 5);
+        // p50 falls in the 256..512 bucket; the bound must cover 300 ns
+        // but stay within 2x of it.
+        let p50 = h.p50().as_nanos() as u64;
+        assert!((300..=511).contains(&p50), "p50 bound {p50}");
+        // p99 lands in the outlier's bucket, clamped to the exact max.
+        assert_eq!(h.p99(), Duration::from_nanos(1_000_000));
+        assert_eq!(h.max_wall_ns, 1_000_000);
+    }
+
+    #[test]
+    fn zero_samples_report_zero() {
+        let mut h = SpanHist::default();
+        h.observe(0);
+        h.observe(0);
+        assert_eq!(h.p50(), Duration::ZERO);
+        assert_eq!(h.p99(), Duration::ZERO);
+    }
+
+    /// From 1 ns to 2^39 ns a quantile is `2^(⌊log₂ ns⌋ + 1) − 1`, the
+    /// upper bound of the sample's power-of-two bucket, clamped to the
+    /// maximum — including in the top bucket, whose bound is the max.
+    #[test]
+    fn quantile_is_the_bucket_bound_clamped_to_max() {
+        let top = 1u64 << 39;
+        for k in 0..=39u32 {
+            for ns in [(1u64 << k) - 1, 1 << k, (1 << k) + 1] {
+                if ns == 0 || ns > top {
+                    continue;
+                }
+                let mut h = SpanHist::default();
+                h.observe(ns);
+                h.observe(top);
+                let bound = ((1u64 << (ns.ilog2() + 1)) - 1).min(top);
+                assert_eq!(h.p50(), Duration::from_nanos(bound), "ns={ns}");
+                assert_eq!(h.p99(), Duration::from_nanos(top), "ns={ns}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Prints fingerprint numbers of a deterministic Pythia run (used to
-//! verify refactors keep the fault-free path bit-identical).
+//! Prints the canonical report fingerprint of each deterministic
+//! reference scenario, one line each, in the form
+//! `tests/refcheck_fingerprint.rs` pins (used to verify refactors keep
+//! the fault-free path bit-identical, and to regenerate those pins).
 //!
 //! With `--tolerance`, each scenario is additionally run with the
 //! relaxed-order solver and compared against the exact run within the
@@ -7,10 +9,12 @@
 //! process exits non-zero if any bound is violated.
 
 use pythia_repro::cluster::{
-    compare_conservation, compare_tolerance, run_scenario, ScenarioConfig, SchedulerKind,
+    compare_conservation, compare_tolerance, run_multi_scenario, run_scenario, ScenarioConfig,
+    SchedulerKind,
 };
 use pythia_repro::des::SimDuration;
 use pythia_repro::hadoop::{DurationModel, JobSpec};
+use pythia_repro::netsim::FatTreeParams;
 use pythia_repro::workloads::SkewModel;
 
 const MB: u64 = 1_000_000;
@@ -44,16 +48,7 @@ fn main() {
             .with_seed(seed)
             .with_relaxed_order(false);
         let r = run_scenario(ref_job(), &cfg);
-        println!(
-            "{:?} ratio={} seed={} completion={} events={} rules={} flows={}",
-            kind,
-            ratio,
-            seed,
-            r.completion(),
-            r.events_processed,
-            r.rules_installed,
-            r.flow_trace.len()
-        );
+        println!("{kind:?} ratio={ratio} seed={seed} {}", r.fingerprint());
         if tolerance {
             let relaxed = run_scenario(ref_job(), &cfg.clone().with_relaxed_order(true));
             // Pythia routes by (src, dst) pair rules and self-corrects, so
@@ -77,8 +72,39 @@ fn main() {
             failed |= !tol.within_bounds();
         }
     }
+    println!(
+        "fat-tree k=4 two jobs {}",
+        fat_tree_two_jobs().fingerprint()
+    );
     if failed {
         eprintln!("tolerance refcheck FAILED");
         std::process::exit(1);
     }
+}
+
+/// Two staggered half-size jobs on a k=4 fat-tree (exact solver): the
+/// multi-job scenario `tests/refcheck_fingerprint.rs` also pins.
+fn fat_tree_two_jobs() -> pythia_repro::cluster::MultiRunReport {
+    let half = || {
+        let mut j = ref_job();
+        j.num_maps = 20;
+        j.input_bytes = 20 * 64 * MB;
+        j
+    };
+    let cfg = ScenarioConfig::default()
+        .with_topology(FatTreeParams {
+            k: 4,
+            ..FatTreeParams::default()
+        })
+        .with_scheduler(SchedulerKind::Pythia)
+        .with_oversubscription(10)
+        .with_seed(42)
+        .with_relaxed_order(false);
+    run_multi_scenario(
+        vec![
+            (half(), SimDuration::ZERO),
+            (half(), SimDuration::from_secs(4)),
+        ],
+        &cfg,
+    )
 }

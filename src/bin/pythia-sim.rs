@@ -56,6 +56,8 @@ enum CliError {
     /// "never" where the flag promises "every …" (or an unusable
     /// zero-capacity daemon).
     ZeroFlag { flag: &'static str },
+    /// A floating-point flag was NaN or infinite.
+    NonFiniteFlag { flag: &'static str },
 }
 
 impl std::fmt::Display for CliError {
@@ -64,6 +66,7 @@ impl std::fmt::Display for CliError {
             CliError::ZeroFlag { flag } => {
                 write!(f, "{flag} must be greater than zero")
             }
+            CliError::NonFiniteFlag { flag } => write!(f, "{flag} must be a finite number"),
         }
     }
 }
@@ -176,11 +179,19 @@ fn parse_args() -> Args {
         eprintln!("--scale must be in (0, 1]");
         usage();
     }
+    if args.ratio == 0 {
+        reject(CliError::ZeroFlag { flag: "--ratio" });
+    }
     // "Checkpoint every 0 events/seconds" would silently mean "never";
     // refuse it instead of handing the run a policy it cannot honor.
     if args.checkpoint_every_events == Some(0) {
         reject(CliError::ZeroFlag {
             flag: "--checkpoint-every-events",
+        });
+    }
+    if args.checkpoint_every_secs.is_some_and(|s| !s.is_finite()) {
+        reject(CliError::NonFiniteFlag {
+            flag: "--checkpoint-every-secs",
         });
     }
     if args.checkpoint_every_secs.is_some_and(|s| s <= 0.0) {
@@ -310,6 +321,9 @@ fn serve_main() -> ! {
             flag: "--queue-capacity",
         });
     }
+    if ratio == 0 {
+        reject(CliError::ZeroFlag { flag: "--ratio" });
+    }
 
     let cfg = ScenarioConfig::default()
         .with_scheduler(SchedulerKind::Pythia)
@@ -392,13 +406,10 @@ fn main() {
         report.trunk_imbalance()
     );
     println!("engine events:     {:>9}", report.events_processed);
-    // CRC32 over the full report rendering: two runs printing the same
-    // fingerprint were observably identical (used by the kill-and-resume
-    // drill to compare an interrupted run against an uninterrupted one).
-    println!(
-        "fingerprint:        {:08x}",
-        pythia_repro::snapshot::crc32(format!("{report:?}").as_bytes())
-    );
+    // Two runs printing the same fingerprint were observably identical
+    // (the kill-and-resume drill compares an interrupted run against an
+    // uninterrupted one through this line).
+    println!("fingerprint:       {}", report.fingerprint());
     if args.seqdiag {
         println!(
             "\n{}",

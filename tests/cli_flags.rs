@@ -43,6 +43,32 @@ fn zero_checkpoint_every_secs_is_refused() {
 }
 
 #[test]
+fn non_finite_checkpoint_every_secs_is_refused() {
+    for value in ["NaN", "inf", "-inf"] {
+        let out = sim(&["--checkpoint-every-secs", value]);
+        assert_eq!(out.status.code(), Some(2), "{value}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("--checkpoint-every-secs must be a finite number"),
+            "{value}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
+fn zero_ratio_is_refused() {
+    for args in [&["--ratio", "0"][..], &["serve", "--ratio", "0"]] {
+        let out = sim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("--ratio must be greater than zero"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
 fn serve_zero_flags_are_refused() {
     let out = sim(&["serve", "--predictions", "0"]);
     assert_eq!(out.status.code(), Some(2));

@@ -71,8 +71,8 @@ fn fleet_streams_on_fat_tree_k4() {
 }
 
 /// Streaming materialization + a single collector shard must reproduce
-/// the historical eager/unsharded run exactly: same event count, same
-/// rule installs, same per-job completions (exact solver path).
+/// the historical eager/unsharded run exactly: same report fingerprint
+/// (exact solver path).
 #[test]
 fn streaming_single_shard_matches_eager_unsharded() {
     let fleet = small_fleet();
@@ -82,17 +82,7 @@ fn streaming_single_shard_matches_eager_unsharded() {
         fleet.jobs(),
         &base.clone().with_stream_jobs(true).with_collector_shards(1),
     );
-    assert_eq!(eager.events_processed, streamed.events_processed);
-    assert_eq!(eager.rules_installed, streamed.rules_installed);
-    assert_eq!(eager.jobs.len(), streamed.jobs.len());
-    for (a, b) in eager.jobs.iter().zip(&streamed.jobs) {
-        assert_eq!(
-            a.completion(),
-            b.completion(),
-            "streaming changed completion of {}",
-            a.name
-        );
-    }
+    assert_eq!(eager.fingerprint(), streamed.fingerprint());
 }
 
 /// The 1024-server fleet: ≥1000 streamed jobs on a k=16 fat-tree with 16

@@ -26,7 +26,8 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-fn fingerprint(out: &Output) -> String {
+/// The canonical report fingerprint the binary prints.
+fn printed_fingerprint(out: &Output) -> String {
     stdout(out)
         .lines()
         .find_map(|l| Some(l.strip_prefix("fingerprint:")?.trim().to_string()))
@@ -60,7 +61,7 @@ fn killed_run_resumes_to_the_uninterrupted_fingerprint() {
     // Reference: the same checkpointing run, never interrupted.
     let reference = sim().args(base_args(&dir)).output().expect("spawn");
     assert!(reference.status.success(), "{}", stdout(&reference));
-    let want = fingerprint(&reference);
+    let want = printed_fingerprint(&reference);
     let _ = std::fs::remove_dir_all(&dir);
 
     // Crash drill: abort() mid-run — the process dies without unwinding,
@@ -88,7 +89,7 @@ fn killed_run_resumes_to_the_uninterrupted_fingerprint() {
         .expect("spawn");
     assert!(resumed.status.success(), "{}", stdout(&resumed));
     assert_eq!(
-        fingerprint(&resumed),
+        printed_fingerprint(&resumed),
         want,
         "resumed run diverged from the uninterrupted one\nresumed:\n{}",
         stdout(&resumed)

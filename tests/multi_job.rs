@@ -67,9 +67,7 @@ fn concurrent_jobs_are_deterministic() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a.makespan(), b.makespan());
-    assert_eq!(a.events_processed, b.events_processed);
-    assert_eq!(a.rules_installed, b.rules_installed);
+    assert_eq!(a.fingerprint(), b.fingerprint());
 }
 
 #[test]

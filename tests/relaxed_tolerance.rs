@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use pythia_repro::cluster::{
     compare_conservation, compare_tolerance, run_multi_scenario, run_scenario, MultiRunReport,
-    RunReport, ScenarioConfig, SchedulerKind,
+    ScenarioConfig, SchedulerKind,
 };
 use pythia_repro::des::SimDuration;
 use pythia_repro::hadoop::{DurationModel, JobSpec};
@@ -39,33 +39,6 @@ fn ref_cfg(kind: SchedulerKind, ratio: u32, seed: u64) -> ScenarioConfig {
         .with_scheduler(kind)
         .with_oversubscription(ratio)
         .with_seed(seed)
-}
-
-/// A run's full observable outcome, for bitwise determinism checks:
-/// completion, event/rule counts, and every flow's endpoints, exact
-/// byte count and exact end time (f64 bit patterns).
-type Fingerprint = (String, u64, u64, Vec<(u32, u32, u64, u64)>);
-
-fn fingerprint(r: &RunReport) -> Fingerprint {
-    let flows = r
-        .flow_trace
-        .records()
-        .iter()
-        .map(|f| {
-            (
-                f.src_node,
-                f.dst_node,
-                f.bytes.to_bits(),
-                f.end_secs.to_bits(),
-            )
-        })
-        .collect();
-    (
-        format!("{}", r.completion()),
-        r.events_processed,
-        r.rules_installed,
-        flows,
-    )
 }
 
 /// Pythia self-corrects through pair rules, so its relaxed drift must
@@ -121,7 +94,7 @@ fn relaxed_runs_are_bitwise_deterministic() {
         let cfg = ref_cfg(SchedulerKind::Pythia, 10, 7).with_relaxed_order(true);
         run_scenario(ref_job(), &cfg)
     };
-    assert_eq!(fingerprint(&run()), fingerprint(&run()));
+    assert_eq!(run().fingerprint(), run().fingerprint());
 }
 
 /// The component-parallel solver partitions work by connected component
@@ -134,9 +107,9 @@ fn solver_worker_count_does_not_change_results() {
         cfg.solver_workers = workers;
         run_scenario(ref_job(), &cfg)
     };
-    let one = fingerprint(&run(1));
-    assert_eq!(one, fingerprint(&run(2)));
-    assert_eq!(one, fingerprint(&run(4)));
+    let one = run(1).fingerprint();
+    assert_eq!(one, run(2).fingerprint());
+    assert_eq!(one, run(4).fingerprint());
 }
 
 proptest! {
