@@ -53,7 +53,7 @@ pub use engine::{
 pub use pythia_snapshot::SnapshotError;
 pub use report::{Fingerprint, JobOutcome, MultiRunReport, RunReport};
 pub use service::{
-    dispatch_control, tenant_of, ControlMsg, ServiceCore, ServiceError, SYSTEM_TENANT,
+    dispatch_control, tenant_of, ControlMsg, MalformedMsg, ServiceCore, ServiceError, SYSTEM_TENANT,
 };
 pub use snapshot::{config_hash, fork_config_hash, CheckpointPolicy};
 pub use tolerance::{compare_conservation, compare_tolerance, ToleranceReport};

@@ -172,6 +172,59 @@ pub fn dispatch_control(
     }
 }
 
+/// Why [`ServiceCore::check`] refused a message: it names links or
+/// servers the fabric does not have, or carries loads that are not
+/// numbers. Dispatching it would panic or poison the load view.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MalformedMsg {
+    /// A per-link load vector of the wrong length: telemetry longer than
+    /// the fabric's link count, or a background vector of any other
+    /// length.
+    LoadsLength {
+        /// Entries the message carried.
+        len: usize,
+        /// Links in the fabric.
+        links: usize,
+    },
+    /// A per-link load that is NaN or infinite.
+    NonFiniteLoad {
+        /// The link it was reported for.
+        link: LinkId,
+        /// The value.
+        bps: f64,
+    },
+    /// A link id past the fabric's links.
+    UnknownLink(LinkId),
+    /// A server id past the cluster's servers.
+    UnknownServer(ServerId),
+}
+
+impl std::fmt::Display for MalformedMsg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MalformedMsg::LoadsLength { len, links } => {
+                write!(f, "{len} per-link loads for a fabric of {links} links")
+            }
+            MalformedMsg::NonFiniteLoad { link, bps } => write!(f, "load {bps} on link {link}"),
+            MalformedMsg::UnknownLink(link) => write!(f, "unknown link {link}"),
+            MalformedMsg::UnknownServer(server) => write!(f, "unknown server {server}"),
+        }
+    }
+}
+
+impl std::error::Error for MalformedMsg {}
+
+/// Every entry of `loads` is a number.
+fn check_finite(loads: &[f64]) -> Result<(), MalformedMsg> {
+    match loads.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(MalformedMsg::NonFiniteLoad {
+            link: LinkId(i as u32),
+            bps: loads[i],
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Building a [`ServiceCore`] can fail in configuration-shaped ways; no
 /// panics on the service path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -308,6 +361,43 @@ impl ServiceCore {
             mr,
             trace,
         })
+    }
+
+    /// Whether `msg` fits this fabric: link ids and per-link vectors match
+    /// the link count, loads are finite, and the servers that pick a
+    /// collector shard exist. A message that passes cannot panic
+    /// [`ServiceCore::dispatch`]. Costs O(1) except for the per-link
+    /// vectors, which are scanned once.
+    pub fn check(&self, msg: &ControlMsg) -> Result<(), MalformedMsg> {
+        let links = self.mr.topology.num_links();
+        let server = |s: ServerId| {
+            if (s.0 as usize) < self.mr.servers.len() {
+                Ok(())
+            } else {
+                Err(MalformedMsg::UnknownServer(s))
+            }
+        };
+        let length = |loads: &[f64]| MalformedMsg::LoadsLength {
+            len: loads.len(),
+            links,
+        };
+        match msg {
+            ControlMsg::Prediction(m) => server(m.src_server),
+            ControlMsg::FetchCompleted { src, .. } => server(*src),
+            ControlMsg::LinkLoads { loads } if loads.len() > links => Err(length(loads)),
+            ControlMsg::BackgroundUpdate { loads } | ControlMsg::BackgroundRefresh { loads }
+                if loads.len() != links =>
+            {
+                Err(length(loads))
+            }
+            ControlMsg::LinkLoads { loads }
+            | ControlMsg::BackgroundUpdate { loads }
+            | ControlMsg::BackgroundRefresh { loads } => check_finite(loads),
+            ControlMsg::LinkState { link, .. } if link.0 as usize >= links => {
+                Err(MalformedMsg::UnknownLink(*link))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Dispatch one message (see [`dispatch_control`]).

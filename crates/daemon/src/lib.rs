@@ -16,7 +16,9 @@
 //! Backpressure is explicit: the ingest queue is bounded, a full queue
 //! *sheds* the message (counted, never blocking the dispatch loop), and
 //! [`DaemonStats`] reports the high-water mark so operators can size the
-//! queue from data. [`server`] wraps the whole thing in a thread with a
+//! queue from data. Malformed telemetry (see
+//! [`pythia_cluster::ServiceCore::check`]) is refused at ingest and
+//! counted, so no message can panic the dispatch loop. [`server`] wraps the whole thing in a thread with a
 //! channel-style handle for cross-thread ingest.
 
 pub mod archive;
@@ -38,13 +40,17 @@ pub use backend::{InstallBackend, InstallRecord, RecordingBackend, SimDataplaneB
 pub use server::{DaemonHandle, DaemonReport};
 
 /// Ingest/dispatch counters. `shed` only ever grows when the bounded
-/// queue was full — explicit backpressure, never a silent drop.
+/// queue was full — explicit backpressure, never a silent drop — and
+/// `malformed` only when a message failed
+/// [`pythia_cluster::ServiceCore::check`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Messages accepted into the queue.
     pub ingested: u64,
     /// Messages refused because the queue was full.
     pub shed: u64,
+    /// Messages refused as malformed (never queued or dispatched).
+    pub malformed: u64,
     /// Messages dispatched through the service core.
     pub processed: u64,
     /// Rules the dispatches provoked (before any backend rejection).
@@ -97,8 +103,13 @@ impl<B: InstallBackend> Daemon<B> {
 
     /// [`Daemon::ingest`] with a caller-supplied enqueue instant, so a
     /// channel front-end charges its own hand-off time to the latency
-    /// histogram instead of hiding it.
+    /// histogram instead of hiding it. A malformed message is refused
+    /// (`false`) and counted in [`DaemonStats::malformed`].
     pub fn ingest_enqueued(&mut self, at: SimTime, enqueued: Instant, msg: ControlMsg) -> bool {
+        if self.core.check(&msg).is_err() {
+            self.stats.malformed += 1;
+            return false;
+        }
         if self.queue.len() >= self.capacity {
             self.stats.shed += 1;
             return false;
@@ -264,6 +275,138 @@ mod tests {
         assert!(s.rules_emitted > 0, "allocator placed nothing");
         assert!(d.backend().installed() > 0);
         assert_eq!(d.hist().count, s.processed);
+    }
+
+    /// Offer `bad` to a fresh daemon: it must be refused and counted as
+    /// malformed, and a well-formed message of the same kind must still
+    /// dispatch afterwards.
+    fn refused_then_good_dispatches(bad: ControlMsg, good: ControlMsg) {
+        let cfg = pythia_cfg();
+        let mut d = Daemon::new(&cfg, RecordingBackend::from_config(&cfg), 8).expect("pythia");
+        assert!(!d.ingest(SimTime::from_millis(1), bad));
+        assert!(d.ingest(SimTime::from_millis(2), good));
+        d.finish();
+        let s = d.stats();
+        assert_eq!((s.malformed, s.shed, s.ingested, s.processed), (1, 0, 1, 1));
+    }
+
+    fn n_links() -> usize {
+        pythia_cfg().topology.build().topology.num_links()
+    }
+
+    fn loads(n: usize, v: f64) -> Arc<[f64]> {
+        vec![v; n].into()
+    }
+
+    #[test]
+    fn link_loads_longer_than_the_fabric_are_refused() {
+        let n = n_links();
+        refused_then_good_dispatches(
+            ControlMsg::LinkLoads {
+                loads: loads(n + 1, 1e6),
+            },
+            ControlMsg::LinkLoads {
+                loads: loads(n, 1e6),
+            },
+        );
+    }
+
+    #[test]
+    fn link_state_for_an_unknown_link_is_refused() {
+        let link = pythia_netsim::LinkId(n_links() as u32);
+        let cfg = pythia_cfg();
+        let core = pythia_cluster::ServiceCore::from_config(&cfg).expect("pythia");
+        let bad = ControlMsg::LinkState { link, up: false };
+        assert_eq!(
+            core.check(&bad),
+            Err(pythia_cluster::MalformedMsg::UnknownLink(link))
+        );
+        refused_then_good_dispatches(
+            bad,
+            ControlMsg::LinkState {
+                link: pythia_netsim::LinkId(0),
+                up: false,
+            },
+        );
+    }
+
+    #[test]
+    fn background_vectors_of_the_wrong_length_are_refused() {
+        let n = n_links();
+        for len in [0, n - 1, n + 1] {
+            refused_then_good_dispatches(
+                ControlMsg::BackgroundUpdate {
+                    loads: loads(len, 0.0),
+                },
+                ControlMsg::BackgroundUpdate {
+                    loads: loads(n, 0.0),
+                },
+            );
+            refused_then_good_dispatches(
+                ControlMsg::BackgroundRefresh {
+                    loads: loads(len, 0.0),
+                },
+                ControlMsg::BackgroundRefresh {
+                    loads: loads(n, 0.0),
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_loads_are_refused() {
+        let n = n_links();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = vec![1e6; n];
+            bad[n / 2] = v;
+            let bad: Arc<[f64]> = bad.into();
+            refused_then_good_dispatches(
+                ControlMsg::LinkLoads {
+                    loads: Arc::clone(&bad),
+                },
+                ControlMsg::LinkLoads {
+                    loads: loads(n, 1e6),
+                },
+            );
+            refused_then_good_dispatches(
+                ControlMsg::BackgroundUpdate {
+                    loads: Arc::clone(&bad),
+                },
+                ControlMsg::BackgroundUpdate {
+                    loads: loads(n, 0.0),
+                },
+            );
+            refused_then_good_dispatches(
+                ControlMsg::BackgroundRefresh { loads: bad },
+                ControlMsg::BackgroundRefresh {
+                    loads: loads(n, 0.0),
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn messages_from_unknown_servers_are_refused() {
+        let cfg = pythia_cfg();
+        let servers = cfg.topology.build().servers.len() as u32;
+        let fetch = |src: u32| ControlMsg::FetchCompleted {
+            job: JobId(0),
+            map: MapTaskId(0),
+            reducer: ReducerId(0),
+            src: ServerId(src),
+            dst: ServerId(0),
+        };
+        refused_then_good_dispatches(fetch(servers), fetch(0));
+        let prediction = |src: u32| {
+            ControlMsg::Prediction(Arc::new(PredictionMsg {
+                job: JobId(0),
+                map: MapTaskId(0),
+                src_server: ServerId(src),
+                per_reducer_bytes: vec![1 << 20],
+                predicted_at: SimTime::ZERO,
+            }))
+        };
+        refused_then_good_dispatches(prediction(u32::MAX), prediction(0));
     }
 
     #[test]

@@ -156,6 +156,41 @@ mod tests {
     }
 
     #[test]
+    fn malformed_telemetry_does_not_stop_the_thread() {
+        let cfg = ScenarioConfig::default().with_scheduler(SchedulerKind::Pythia);
+        let links = cfg.topology.build().topology.num_links();
+        let h = DaemonHandle::spawn_sim(&cfg, 256).expect("pythia");
+        let at = SimTime::from_millis(1);
+        let bad = [
+            ControlMsg::LinkLoads {
+                loads: vec![0.0; links + 1].into(),
+            },
+            ControlMsg::LinkState {
+                link: pythia_netsim::LinkId(links as u32),
+                up: true,
+            },
+            ControlMsg::BackgroundUpdate {
+                loads: vec![0.0; links - 1].into(),
+            },
+            ControlMsg::BackgroundRefresh {
+                loads: vec![f64::NAN; links].into(),
+            },
+        ];
+        for m in bad {
+            assert!(h.ingest_blocking(at, m), "the channel itself accepts");
+        }
+        let msgs = synthetic_stream(&cfg, 50);
+        let total = msgs.len() as u64;
+        for (t, m) in msgs {
+            assert!(h.ingest_blocking(t, m));
+        }
+        let report = h.shutdown();
+        assert_eq!(report.stats.malformed, 4);
+        assert_eq!(report.stats.processed, total);
+        assert!(report.installed > 0);
+    }
+
+    #[test]
     fn spawn_refuses_non_pythia_schedulers() {
         let cfg = ScenarioConfig::default().with_scheduler(SchedulerKind::Hedera);
         let err = DaemonHandle::spawn_sim(&cfg, 8).err().expect("must refuse");

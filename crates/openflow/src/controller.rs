@@ -15,7 +15,7 @@
 //!   with a hardware programming latency in the 3–5 ms/flow budget the
 //!   paper measures for contemporary switches (§V-C).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use pythia_des::{get_rng, put_rng, RngFactory, SimDuration};
 use pythia_netsim::persist::{get_path, put_path};
@@ -104,7 +104,9 @@ pub struct Controller {
     /// Structural metadata when the fabric is a known Clos shape; lets
     /// path computation skip graph search entirely.
     clos: Option<ClosStructure>,
-    path_cache: BTreeMap<(NodeId, NodeId), Vec<Path>>,
+    /// Memoized k-shortest paths per pair. Hash-keyed: only
+    /// [`Controller::put_state`] walks it, in pair order.
+    path_cache: HashMap<(NodeId, NodeId), Vec<Path>>,
     /// Reverse index: link → pairs whose cached paths traverse it. May
     /// hold stale entries (pair since evicted or recomputed around the
     /// link); invalidation tolerates them. Invariant: a cached pair
@@ -156,7 +158,7 @@ impl Controller {
             topo,
             servers,
             clos,
-            path_cache: BTreeMap::new(),
+            path_cache: HashMap::new(),
             link_pairs: vec![Vec::new(); n_links],
             avoided_pairs: Vec::new(),
             down_links: HashSet::new(),
@@ -397,8 +399,10 @@ impl Controller {
     /// fill order determines cache contents, so recomputing them on
     /// restore would diverge from the uninterrupted run.
     pub fn put_state(&self, w: &mut SectionWriter) {
-        (self.path_cache.len() as u64).put(w);
-        for (&(src, dst), paths) in &self.path_cache {
+        let mut cached: Vec<(&(NodeId, NodeId), &Vec<Path>)> = self.path_cache.iter().collect();
+        cached.sort_unstable_by_key(|&(pair, _)| *pair);
+        (cached.len() as u64).put(w);
+        for (&(src, dst), paths) in cached {
             src.put(w);
             dst.put(w);
             (paths.len() as u64).put(w);
@@ -424,7 +428,7 @@ impl Controller {
         let n_nodes = self.topo.num_nodes();
         let n_links = self.topo.num_links();
         let pairs = u64::get(r)? as usize;
-        let mut cache: BTreeMap<(NodeId, NodeId), Vec<Path>> = BTreeMap::new();
+        let mut cache: HashMap<(NodeId, NodeId), Vec<Path>> = HashMap::new();
         for _ in 0..pairs {
             let src = NodeId::get(r)?;
             let dst = NodeId::get(r)?;
@@ -459,8 +463,11 @@ impl Controller {
         }
         // The index tolerates stale entries but never missing ones: every
         // cached pair must be registered under every link it traverses,
-        // or a later link-down would fail to evict it.
-        for (&(s, d), paths) in &cache {
+        // or a later link-down would fail to evict it. Checked in pair
+        // order, so a corrupt snapshot always reports the same pair.
+        let mut cached: Vec<(&(NodeId, NodeId), &Vec<Path>)> = cache.iter().collect();
+        cached.sort_unstable_by_key(|&(pair, _)| *pair);
+        for (&(s, d), paths) in cached {
             for p in paths {
                 for &l in p.links() {
                     if !indexed.contains(&(l.0, s.0, d.0)) {

@@ -27,7 +27,7 @@
 //! clones a `Path` just to score it; the allocator clones only the path
 //! it actually assigns.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use pythia_netsim::persist::{get_path, put_path};
 use pythia_netsim::{LinkId, NodeId, Path, Topology};
@@ -86,16 +86,112 @@ struct CandGeometry {
 }
 
 impl CandGeometry {
+    /// Geometry for no path set yet: an unreachable candidate count, so
+    /// the first [`CandGeometry::refresh`] always refills it (epochs count
+    /// up from zero).
+    fn empty() -> CandGeometry {
+        CandGeometry {
+            paths_epoch: 0,
+            n_paths: usize::MAX,
+            offsets: Vec::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// Refill from `paths` unless already computed for this epoch.
+    fn refresh(&mut self, paths: &[Path], paths_epoch: u64) {
+        if self.paths_epoch == paths_epoch && self.n_paths == paths.len() {
+            return;
+        }
+        self.links.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        for p in paths {
+            self.links.extend(
+                p.links()
+                    .iter()
+                    .copied()
+                    .filter(|&l| !paths.iter().all(|q| q.contains_link(l))),
+            );
+            self.offsets.push(self.links.len() as u32);
+        }
+        self.paths_epoch = paths_epoch;
+        self.n_paths = paths.len();
+    }
+
     /// Links of candidate `i` that *not* every candidate crosses.
     fn distinct(&self, i: usize) -> &[LinkId] {
         &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
+/// Everything the allocator keeps for one pair, in one hash slot, so a
+/// stack or a placement costs one probe.
+#[derive(Debug, Default)]
+struct PairSlot {
+    /// The pair's path and outstanding bytes, once it has been placed.
+    assignment: Option<Assignment>,
+    /// Candidate geometry memo for the epoch-keyed fast path (see
+    /// [`CandGeometry`]). Untouched by the plain
+    /// [`FlowAllocator::place`]/[`FlowAllocator::reassign`] calls.
+    geometry: Option<CandGeometry>,
+}
+
+/// The active assignment in `slot`, if the pair has outstanding bytes.
+fn active(slot: &mut PairSlot) -> Option<&mut Assignment> {
+    slot.assignment.as_mut().filter(|a| a.outstanding > 0)
+}
+
+/// The links every candidate crosses, into `scratch` — needed only when
+/// no geometry memo is at hand.
+fn shared_links<'a>(
+    scratch: &'a mut Vec<LinkId>,
+    geometry: Option<&CandGeometry>,
+    paths: &[Path],
+) -> &'a [LinkId] {
+    scratch.clear();
+    if let (None, Some(first)) = (geometry, paths.first()) {
+        scratch.extend(
+            first
+                .links()
+                .iter()
+                .copied()
+                .filter(|&l| paths.iter().all(|p| p.contains_link(l))),
+        );
+    }
+    scratch
+}
+
+/// Planned load at the most-loaded distinctive link of candidate `i`
+/// (`path`): from the memo when there is one, else `path`'s links minus
+/// the `common` ones — identical link sets either way.
+fn distinct_load(
+    load: &[u64],
+    geometry: Option<&CandGeometry>,
+    common: &[LinkId],
+    i: usize,
+    path: &Path,
+) -> u64 {
+    match geometry {
+        Some(g) => max_load(load, g.distinct(i).iter().copied()),
+        None => max_load(
+            load,
+            path.links().iter().copied().filter(|l| !common.contains(l)),
+        ),
+    }
+}
+
+/// The most-loaded of `links` in `load` (zero for no links).
+fn max_load(load: &[u64], links: impl Iterator<Item = LinkId>) -> u64 {
+    links.map(|l| table_get(load, l)).max().unwrap_or(0)
+}
+
 /// The allocator: pair → path assignments plus per-link planned volume.
+/// Pairs are hash-keyed; [`FlowAllocator::active_pairs_into`] and
+/// [`FlowAllocator::put_state`], the outputs that walk them, sort first.
 #[derive(Debug, Default)]
 pub struct FlowAllocator {
-    assignments: BTreeMap<(NodeId, NodeId), Assignment>,
+    pairs: HashMap<(NodeId, NodeId), PairSlot>,
     /// Outstanding predicted bytes planned per link, dense-indexed by
     /// `LinkId` and grown lazily (links never planned onto stay absent).
     planned_link_bytes: Vec<u64>,
@@ -104,10 +200,6 @@ pub struct FlowAllocator {
     /// Links shared by every candidate, rebuilt per score; kept here so
     /// the steady-state control loop does not allocate.
     common_scratch: Vec<LinkId>,
-    /// Per-pair candidate geometry memo for the epoch-keyed fast path
-    /// (see [`CandGeometry`]). Bypassed entirely by the plain
-    /// [`FlowAllocator::place`]/[`FlowAllocator::reassign`] calls.
-    cand_cache: BTreeMap<(NodeId, NodeId), CandGeometry>,
     /// When false, placement ignores predicted volumes (FlowComb-like
     /// mode): load is counted in *pairs*, not bytes.
     size_blind: bool,
@@ -156,26 +248,6 @@ impl FlowAllocator {
         }
     }
 
-    /// The load metric on one link, in the allocator's current units
-    /// (bytes when size-aware, active-pair count scaled to a nominal
-    /// transfer size when size-blind).
-    fn link_load_metric(&self, l: LinkId) -> u64 {
-        if self.size_blind {
-            table_get(&self.planned_link_pairs, l)
-        } else {
-            table_get(&self.planned_link_bytes, l)
-        }
-    }
-
-    /// The weight a new transfer contributes to the load metric.
-    fn demand_metric(&self, bytes: u64) -> u64 {
-        if self.size_blind {
-            1
-        } else {
-            bytes
-        }
-    }
-
     /// Stack `bytes` of demand onto `pair` *if it resolves without a
     /// path decision*: an active pair absorbs the demand onto its
     /// installed path (exactly [`Placement::Keep`]), and a zero-byte
@@ -191,15 +263,15 @@ impl FlowAllocator {
         if bytes == 0 {
             return true;
         }
-        if let Some(a) = self.assignments.get_mut(&pair) {
-            if a.outstanding > 0 {
+        match self.pairs.get_mut(&pair).and_then(active) {
+            Some(a) => {
                 a.outstanding += bytes;
                 table_add(&mut self.planned_link_bytes, a.path.links(), bytes);
                 self.keeps += 1;
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Add `bytes` of predicted demand for `pair`, choosing a path if the
@@ -235,36 +307,6 @@ impl FlowAllocator {
         self.place_impl(pair, bytes, paths, resids, Some(paths_epoch))
     }
 
-    /// Refresh the pair's geometry memo if stale. Only called on the
-    /// epoch-keyed path.
-    fn refresh_geometry(&mut self, pair: (NodeId, NodeId), paths: &[Path], paths_epoch: u64) {
-        let g = self.cand_cache.entry(pair).or_insert_with(|| CandGeometry {
-            // Unreachable candidate count, so a fresh entry always takes
-            // the refill below (epochs count up from zero).
-            paths_epoch: 0,
-            n_paths: usize::MAX,
-            offsets: Vec::new(),
-            links: Vec::new(),
-        });
-        if g.paths_epoch == paths_epoch && g.n_paths == paths.len() {
-            return;
-        }
-        g.links.clear();
-        g.offsets.clear();
-        g.offsets.push(0);
-        for p in paths {
-            g.links.extend(
-                p.links()
-                    .iter()
-                    .copied()
-                    .filter(|&l| !paths.iter().all(|q| q.contains_link(l))),
-            );
-            g.offsets.push(g.links.len() as u32);
-        }
-        g.paths_epoch = paths_epoch;
-        g.n_paths = paths.len();
-    }
-
     fn place_impl(
         &mut self,
         pair: (NodeId, NodeId),
@@ -277,74 +319,51 @@ impl FlowAllocator {
         if bytes == 0 {
             return Placement::Keep;
         }
-        if let Some(a) = self.assignments.get_mut(&pair) {
-            if a.outstanding > 0 {
-                // Active pair: stack the demand on the installed path.
-                a.outstanding += bytes;
-                table_add(&mut self.planned_link_bytes, a.path.links(), bytes);
-                self.keeps += 1;
-                return Placement::Keep;
-            }
+        let slot = self.pairs.entry(pair).or_default();
+        if let Some(a) = active(slot) {
+            // Active pair: stack the demand on the installed path.
+            a.outstanding += bytes;
+            table_add(&mut self.planned_link_bytes, a.path.links(), bytes);
+            self.keeps += 1;
+            return Placement::Keep;
         }
         if paths.is_empty() {
             return Placement::NoPath;
         }
-        if let Some(epoch) = paths_epoch {
-            self.refresh_geometry(pair, paths, epoch);
-        }
+        // The load metric per link and the transfer's weight in it: bytes
+        // when size-aware, active-pair count when size-blind.
+        let (load, weight) = if self.size_blind {
+            (&self.planned_link_pairs, 1)
+        } else {
+            (&self.planned_link_bytes, bytes)
+        };
         // Links shared by every candidate (the NIC access legs) carry the
         // transfer no matter what we choose; only the distinctive links
         // (the trunk choice) may enter the score, or a loaded shared leg
         // masks the difference and every tie falls onto the first trunk.
         // Pick the path finishing this transfer earliest over the links
         // the decision actually controls.
-        let mut best: Option<(f64, usize)> = None;
-        if paths_epoch.is_some() {
+        let geometry = match paths_epoch {
             // Fast path: the distinctive-link partition comes from the
-            // memo just refreshed above.
-            let g = &self.cand_cache[&pair];
-            for (i, _) in paths.iter().enumerate() {
-                if resids[i] <= 0.0 {
-                    continue;
-                }
-                let planned = g
-                    .distinct(i)
-                    .iter()
-                    .map(|&l| self.link_load_metric(l))
-                    .max()
-                    .unwrap_or(0);
-                let eta = (planned + self.demand_metric(bytes)) as f64 * 8.0 / resids[i];
-                if best.map(|(b, _)| eta < b).unwrap_or(true) {
-                    best = Some((eta, i));
-                }
+            // pair's memo, refreshed if the epoch moved.
+            Some(epoch) => {
+                let g = slot.geometry.get_or_insert_with(CandGeometry::empty);
+                g.refresh(paths, epoch);
+                Some(&*g)
             }
-        } else {
-            let mut common = std::mem::take(&mut self.common_scratch);
-            common.clear();
-            common.extend(
-                paths[0]
-                    .links()
-                    .iter()
-                    .copied()
-                    .filter(|&l| paths.iter().all(|p| p.contains_link(l))),
-            );
-            for (i, p) in paths.iter().enumerate() {
-                if resids[i] <= 0.0 {
-                    continue;
-                }
-                let planned = p
-                    .links()
-                    .iter()
-                    .filter(|l| !common.contains(l))
-                    .map(|l| self.link_load_metric(*l))
-                    .max()
-                    .unwrap_or(0);
-                let eta = (planned + self.demand_metric(bytes)) as f64 * 8.0 / resids[i];
-                if best.map(|(b, _)| eta < b).unwrap_or(true) {
-                    best = Some((eta, i));
-                }
+            None => None,
+        };
+        let common = shared_links(&mut self.common_scratch, geometry, paths);
+        let mut best: Option<(f64, usize)> = None;
+        for (i, (p, &resid)) in paths.iter().zip(resids).enumerate() {
+            if resid <= 0.0 {
+                continue;
             }
-            self.common_scratch = common;
+            let planned = distinct_load(load, geometry, common, i, p);
+            let eta = (planned + weight) as f64 * 8.0 / resid;
+            if best.map(|(b, _)| eta < b).unwrap_or(true) {
+                best = Some((eta, i));
+            }
         }
         // All candidates fully saturated by background: fall back to the
         // raw highest-residual path (index 0 if every residual is zero).
@@ -360,13 +379,10 @@ impl FlowAllocator {
         let path = paths[idx].clone();
         table_add(&mut self.planned_link_bytes, path.links(), bytes);
         table_add(&mut self.planned_link_pairs, path.links(), 1);
-        self.assignments.insert(
-            pair,
-            Assignment {
-                path: path.clone(),
-                outstanding: bytes,
-            },
-        );
+        slot.assignment = Some(Assignment {
+            path: path.clone(),
+            outstanding: bytes,
+        });
         self.placements += 1;
         Placement::Assign(path)
     }
@@ -410,35 +426,28 @@ impl FlowAllocator {
     ) -> Option<Path> {
         assert!(improvement >= 1.0);
         debug_assert_eq!(paths.len(), resids.len());
-        let outstanding = match self.assignments.get(&pair) {
-            Some(a) if a.outstanding > 0 => a.outstanding,
-            _ => return None,
-        };
+        let PairSlot {
+            assignment,
+            geometry,
+        } = self.pairs.get_mut(&pair)?;
+        let a = assignment.as_mut().filter(|a| a.outstanding > 0)?;
+        let outstanding = a.outstanding;
         // Score without this pair's own planned bytes.
-        {
-            let a = &self.assignments[&pair];
-            table_sub(&mut self.planned_link_bytes, a.path.links(), outstanding);
-        }
-        if let Some(epoch) = paths_epoch {
-            if !paths.is_empty() {
-                self.refresh_geometry(pair, paths, epoch);
+        table_sub(&mut self.planned_link_bytes, a.path.links(), outstanding);
+        let geometry = match paths_epoch {
+            Some(epoch) if !paths.is_empty() => {
+                let g = geometry.get_or_insert_with(CandGeometry::empty);
+                g.refresh(paths, epoch);
+                Some(&*g)
             }
-        }
-        let mut common = std::mem::take(&mut self.common_scratch);
-        common.clear();
-        if paths_epoch.is_none() {
-            if let Some(first) = paths.first() {
-                common.extend(
-                    first
-                        .links()
-                        .iter()
-                        .copied()
-                        .filter(|&l| paths.iter().all(|p| p.contains_link(l))),
-                );
-            }
-        }
-        let geometry = paths_epoch.and_then(|_| self.cand_cache.get(&pair));
-        let current = &self.assignments[&pair].path;
+            _ => None,
+        };
+        let common = shared_links(&mut self.common_scratch, geometry, paths);
+        let (load, weight) = if self.size_blind {
+            (&self.planned_link_pairs, 1)
+        } else {
+            (&self.planned_link_bytes, outstanding)
+        };
         // `i` is the candidate's index (its distinctive links in the
         // memo); the slow path filters against `common` instead —
         // identical link sets either way.
@@ -446,23 +455,9 @@ impl FlowAllocator {
             if resid <= 0.0 {
                 return f64::INFINITY;
             }
-            let planned = match geometry {
-                Some(g) => g
-                    .distinct(i)
-                    .iter()
-                    .map(|&l| self.link_load_metric(l))
-                    .max()
-                    .unwrap_or(0),
-                None => path
-                    .links()
-                    .iter()
-                    .filter(|l| !common.contains(l))
-                    .map(|l| self.link_load_metric(*l))
-                    .max()
-                    .unwrap_or(0),
-            };
-            (planned + self.demand_metric(outstanding)) as f64 * 8.0 / resid
+            (distinct_load(load, geometry, common, i, path) + weight) as f64 * 8.0 / resid
         };
+        let current = &a.path;
         let current_eta = paths
             .iter()
             .zip(resids)
@@ -486,22 +481,15 @@ impl FlowAllocator {
             }
             _ => None,
         };
-        self.common_scratch = common;
         match &moved {
             Some(path) => {
                 table_add(&mut self.planned_link_bytes, path.links(), outstanding);
-                {
-                    let a = &self.assignments[&pair];
-                    table_sub(&mut self.planned_link_pairs, a.path.links(), 1);
-                }
+                table_sub(&mut self.planned_link_pairs, a.path.links(), 1);
                 table_add(&mut self.planned_link_pairs, path.links(), 1);
-                self.assignments.get_mut(&pair).unwrap().path = path.clone();
+                a.path = path.clone();
                 self.placements += 1;
             }
-            None => {
-                let a = &self.assignments[&pair];
-                table_add(&mut self.planned_link_bytes, a.path.links(), outstanding);
-            }
+            None => table_add(&mut self.planned_link_bytes, a.path.links(), outstanding),
         }
         moved
     }
@@ -515,20 +503,26 @@ impl FlowAllocator {
 
     /// [`FlowAllocator::active_pairs`] into a caller-owned buffer, so the
     /// periodic reassignment sweep can reuse one allocation.
+    /// Sorted: the order decides the reassignment sweep's rule order.
     pub fn active_pairs_into(&self, out: &mut Vec<(NodeId, NodeId)>) {
         out.clear();
-        out.extend(
-            self.assignments
-                .iter()
-                .filter(|(_, a)| a.outstanding > 0)
-                .map(|(&p, _)| p),
-        );
+        out.extend(self.pairs.iter().filter_map(|(&p, slot)| {
+            slot.assignment
+                .as_ref()
+                .is_some_and(|a| a.outstanding > 0)
+                .then_some(p)
+        }));
+        out.sort_unstable();
     }
 
     /// A fetch belonging to `pair` completed; remove its predicted bytes
     /// from the plan.
     pub fn drain(&mut self, pair: (NodeId, NodeId), bytes: u64) {
-        if let Some(a) = self.assignments.get_mut(&pair) {
+        if let Some(a) = self
+            .pairs
+            .get_mut(&pair)
+            .and_then(|s| s.assignment.as_mut())
+        {
             let drained = bytes.min(a.outstanding);
             a.outstanding -= drained;
             table_sub(&mut self.planned_link_bytes, a.path.links(), drained);
@@ -540,36 +534,43 @@ impl FlowAllocator {
 
     /// Forget a pair entirely (job teardown).
     pub fn remove_pair(&mut self, pair: (NodeId, NodeId)) {
-        if let Some(a) = self.assignments.remove(&pair) {
+        if let Some(a) = self.pairs.remove(&pair).and_then(|s| s.assignment) {
             table_sub(&mut self.planned_link_bytes, a.path.links(), a.outstanding);
             if a.outstanding > 0 {
                 table_sub(&mut self.planned_link_pairs, a.path.links(), 1);
             }
         }
-        self.cand_cache.remove(&pair);
+    }
+
+    fn assignment(&self, pair: (NodeId, NodeId)) -> Option<&Assignment> {
+        self.pairs.get(&pair)?.assignment.as_ref()
     }
 
     /// Current path assignment of a pair, if any.
     pub fn assigned_path(&self, pair: (NodeId, NodeId)) -> Option<&Path> {
-        self.assignments.get(&pair).map(|a| &a.path)
+        self.assignment(pair).map(|a| &a.path)
     }
 
     /// Outstanding planned bytes for a pair.
     pub fn outstanding(&self, pair: (NodeId, NodeId)) -> u64 {
-        self.assignments
-            .get(&pair)
-            .map(|a| a.outstanding)
-            .unwrap_or(0)
+        self.assignment(pair).map_or(0, |a| a.outstanding)
     }
 
     /// Serialize the full plan. The per-link tables are written verbatim
     /// rather than recomputed from assignments: drains saturate and the
     /// pair table decrements only when a pair idles, so the tables carry
-    /// history the assignments alone cannot reproduce.
+    /// history the assignments alone cannot reproduce. Assignments go out
+    /// in pair order; geometry memos are caches and stay out.
     pub fn put_state(&self, w: &mut SectionWriter) {
         self.size_blind.put(w);
-        (self.assignments.len() as u64).put(w);
-        for (&(src, dst), a) in &self.assignments {
+        let mut assigned: Vec<(&(NodeId, NodeId), &Assignment)> = self
+            .pairs
+            .iter()
+            .filter_map(|(pair, slot)| Some((pair, slot.assignment.as_ref()?)))
+            .collect();
+        assigned.sort_unstable_by_key(|&(pair, _)| *pair);
+        (assigned.len() as u64).put(w);
+        for (&(src, dst), a) in assigned {
             src.put(w);
             dst.put(w);
             put_path(w, &a.path);
@@ -593,7 +594,7 @@ impl FlowAllocator {
             return Err(r.malformed("allocator mode (size-aware/size-blind) differs"));
         }
         let n = u64::get(r)? as usize;
-        let mut assignments = BTreeMap::new();
+        let mut pairs: HashMap<(NodeId, NodeId), PairSlot> = HashMap::new();
         for _ in 0..n {
             let src = NodeId::get(r)?;
             let dst = NodeId::get(r)?;
@@ -606,10 +607,11 @@ impl FlowAllocator {
             if topo.link(links[0]).src != src || topo.link(links[links.len() - 1]).dst != dst {
                 return Err(r.malformed(format!("assigned path does not join pair {src}->{dst}")));
             }
-            if assignments
-                .insert((src, dst), Assignment { path, outstanding })
-                .is_some()
-            {
+            let slot = PairSlot {
+                assignment: Some(Assignment { path, outstanding }),
+                geometry: None,
+            };
+            if pairs.insert((src, dst), slot).is_some() {
                 return Err(r.malformed(format!("duplicate assignment for pair {src}->{dst}")));
             }
         }
@@ -620,13 +622,12 @@ impl FlowAllocator {
         {
             return Err(r.malformed("planned-link table larger than the topology"));
         }
-        self.assignments = assignments;
+        // Geometry memos are caches keyed by the caller's epoch counters,
+        // which restart from zero after a restore — the slots start cold.
+        self.pairs = pairs;
         self.planned_link_bytes = planned_link_bytes;
         self.planned_link_pairs = planned_link_pairs;
         self.common_scratch.clear();
-        // Geometry memo is a cache keyed by the caller's epoch counters,
-        // which restart from zero after a restore — drop it cold.
-        self.cand_cache.clear();
         self.placements = u64::get(r)?;
         self.keeps = u64::get(r)?;
         Ok(())

@@ -24,7 +24,7 @@
 //! before the new one is ingested. Entries parked for a reducer that never
 //! launches can be expired by a TTL sweep.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use pythia_des::{SimDuration, SimTime};
@@ -81,6 +81,15 @@ struct PendingEntry {
     parked_at: SimTime,
 }
 
+/// The server whose prediction currently represents a map task, and how
+/// many reducers that prediction named — the bound of the map's
+/// `(job, map, reducer)` keys, so a retraction probes them directly.
+#[derive(Debug, Clone, Copy)]
+struct MapSource {
+    server: ServerId,
+    reducers: u32,
+}
+
 /// What one committed per-fetch prediction recorded, so drains and
 /// retractions reverse it exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,24 +100,36 @@ struct CommittedFetch {
 }
 
 /// The collector state machine.
+///
+/// Per-message state is hash-keyed, so each message costs O(the state it
+/// names). Nothing reads a map's iteration order: the outputs that walk
+/// a map ([`Collector::outstanding_pairs`], [`Collector::put_state`])
+/// sort first.
 pub struct Collector {
     /// Hadoop server id → network node.
     server_nodes: Vec<NodeId>,
     /// Known reducer locations (hadoop server ids), per job.
-    reducer_loc: BTreeMap<(JobId, ReducerId), ServerId>,
-    /// Predictions whose reducer location is not yet known.
-    pending: Vec<PendingEntry>,
+    reducer_loc: HashMap<(JobId, ReducerId), ServerId>,
+    /// Predictions whose reducer location is not yet known, grouped per
+    /// job, each group in park order. The sequence number beside each
+    /// entry orders the groups against each other: snapshots write the
+    /// entries in global park order.
+    pending: HashMap<JobId, Vec<(u64, PendingEntry)>>,
+    /// Sequence number of the next parked entry.
+    next_park_seq: u64,
+    /// Parked entries over all jobs.
+    parked: usize,
     /// Committed prediction per (job, map, reducer), for exact reversal
     /// when a fetch completes or the map is re-executed.
-    predicted_fetch: BTreeMap<(JobId, MapTaskId, ReducerId), CommittedFetch>,
-    /// The server whose prediction currently represents each map task —
-    /// the idempotency key of the lossy management network.
-    latest_src: BTreeMap<(JobId, MapTaskId), ServerId>,
+    predicted_fetch: HashMap<(JobId, MapTaskId, ReducerId), CommittedFetch>,
+    /// The prediction currently representing each map task — the
+    /// idempotency key of the lossy management network.
+    latest_src: HashMap<(JobId, MapTaskId), MapSource>,
     /// Outstanding predicted bytes per (src node, dst node), remote only.
-    outstanding: BTreeMap<(NodeId, NodeId), u64>,
+    outstanding: HashMap<(NodeId, NodeId), u64>,
     /// Cumulative predicted remote traffic per source node over time —
     /// Pythia's side of the Figure 5 comparison.
-    predicted_curves: BTreeMap<NodeId, (f64, CumulativeCurve)>,
+    predicted_curves: HashMap<NodeId, (f64, CumulativeCurve)>,
     /// Prediction messages ingested (duplicates excluded).
     pub predictions_received: u64,
     /// Per-reducer entries parked for unknown destinations.
@@ -128,12 +149,14 @@ impl Collector {
     pub fn new(server_nodes: Vec<NodeId>) -> Self {
         Collector {
             server_nodes,
-            reducer_loc: BTreeMap::new(),
-            pending: Vec::new(),
-            predicted_fetch: BTreeMap::new(),
-            latest_src: BTreeMap::new(),
-            outstanding: BTreeMap::new(),
-            predicted_curves: BTreeMap::new(),
+            reducer_loc: HashMap::new(),
+            pending: HashMap::new(),
+            next_park_seq: 0,
+            parked: 0,
+            predicted_fetch: HashMap::new(),
+            latest_src: HashMap::new(),
+            outstanding: HashMap::new(),
+            predicted_curves: HashMap::new(),
             predictions_received: 0,
             entries_parked: 0,
             duplicates_dropped: 0,
@@ -165,22 +188,28 @@ impl Collector {
         }
         let mut outcome = PredictionOutcome::default();
         match self.latest_src.get(&(msg.job, msg.map)) {
-            Some(&prev_src) if prev_src == msg.src_server => {
+            Some(prev) if prev.server == msg.src_server => {
                 // Network duplicate or agent retransmission: already
                 // ingested, drop without touching the aggregates.
                 self.duplicates_dropped += 1;
                 return outcome;
             }
-            Some(_) => {
+            Some(&prev) => {
                 // Same map, different server: Hadoop re-executed the task
                 // (failure or speculation). The old output will never be
                 // fetched — withdraw its predicted volume first.
-                outcome.retracted = self.retract(msg.job, msg.map);
+                outcome.retracted = self.retract(msg.job, msg.map, prev.reducers);
                 self.retractions += 1;
             }
             None => {}
         }
-        self.latest_src.insert((msg.job, msg.map), msg.src_server);
+        self.latest_src.insert(
+            (msg.job, msg.map),
+            MapSource {
+                server: msg.src_server,
+                reducers: msg.per_reducer_bytes.len() as u32,
+            },
+        );
         self.predictions_received += 1;
         let mut out = Vec::new();
         for (r_idx, &bytes) in msg.per_reducer_bytes.iter().enumerate() {
@@ -200,7 +229,7 @@ impl Collector {
                     }
                 }
                 None => {
-                    self.pending.push(entry);
+                    self.park(entry);
                     self.entries_parked += 1;
                 }
             }
@@ -209,8 +238,19 @@ impl Collector {
         outcome
     }
 
+    /// Append `entry` to its job's parked group.
+    fn park(&mut self, entry: PendingEntry) {
+        let seq = self.next_park_seq;
+        self.next_park_seq += 1;
+        self.pending
+            .entry(entry.job)
+            .or_default()
+            .push((seq, entry));
+        self.parked += 1;
+    }
+
     /// Reducer-launch event observed: fill in every parked entry for this
-    /// reducer.
+    /// reducer, in park order. Only the job's own group is scanned.
     pub fn on_reducer_location(
         &mut self,
         now: SimTime,
@@ -224,17 +264,23 @@ impl Collector {
         }
         self.reducer_loc.insert((job, reducer), server);
         let mut out = Vec::new();
-        let mut still = Vec::with_capacity(self.pending.len());
-        for entry in std::mem::take(&mut self.pending) {
-            if entry.job == job && entry.reducer == reducer {
-                if let Some(d) = self.commit(now, entry, server) {
-                    out.push(d);
-                }
-            } else {
-                still.push(entry);
+        let Some(mut group) = self.pending.remove(&job) else {
+            return out;
+        };
+        let before = group.len();
+        group.retain(|&(_, entry)| {
+            if entry.reducer != reducer {
+                return true;
             }
+            if let Some(d) = self.commit(now, entry, server) {
+                out.push(d);
+            }
+            false
+        });
+        self.parked -= before - group.len();
+        if !group.is_empty() {
+            self.pending.insert(job, group);
         }
-        self.pending = still;
         Self::coalesce(out)
     }
 
@@ -287,26 +333,42 @@ impl Collector {
         })
     }
 
-    /// Withdraw every committed and parked entry of `(job, map)`: its
-    /// earlier execution's output will never be fetched. Returns the
-    /// per-pair volumes removed from `outstanding` (for allocator drains).
-    fn retract(&mut self, job: JobId, map: MapTaskId) -> Vec<((NodeId, NodeId), u64)> {
-        let keys: Vec<(JobId, MapTaskId, ReducerId)> = self
-            .predicted_fetch
-            .range((job, map, ReducerId(0))..=(job, map, ReducerId(u32::MAX)))
-            .map(|(&k, _)| k)
-            .collect();
-        let mut drains: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-        for k in keys {
-            if let Some(c) = self.predicted_fetch.remove(&k) {
+    /// Withdraw every committed and parked entry of `(job, map)`, whose
+    /// prediction named `reducers` reducers: its earlier execution's
+    /// output will never be fetched. Returns the per-pair volumes removed
+    /// from `outstanding` (for allocator drains), in pair order.
+    fn retract(
+        &mut self,
+        job: JobId,
+        map: MapTaskId,
+        reducers: u32,
+    ) -> Vec<((NodeId, NodeId), u64)> {
+        let mut drains = Vec::new();
+        for r in 0..reducers {
+            if let Some(c) = self.predicted_fetch.remove(&(job, map, ReducerId(r))) {
                 if c.src != c.dst && c.bytes > 0 {
                     self.sub_outstanding((c.src, c.dst), c.bytes);
-                    *drains.entry((c.src, c.dst)).or_insert(0) += c.bytes;
+                    drains.push(((c.src, c.dst), c.bytes));
                 }
             }
         }
-        self.pending.retain(|e| !(e.job == job && e.map == map));
-        drains.into_iter().collect()
+        if let Some(group) = self.pending.get_mut(&job) {
+            let before = group.len();
+            group.retain(|(_, e)| e.map != map);
+            self.parked -= before - group.len();
+            if group.is_empty() {
+                self.pending.remove(&job);
+            }
+        }
+        drains.sort_unstable_by_key(|&(pair, _)| pair);
+        drains.dedup_by(|d, kept| {
+            let same = d.0 == kept.0;
+            if same {
+                kept.1 += d.1;
+            }
+            same
+        });
+        drains
     }
 
     fn sub_outstanding(&mut self, pair: (NodeId, NodeId), bytes: u64) {
@@ -319,20 +381,17 @@ impl Collector {
     }
 
     /// Merge demands that share a server pair (one message can carry
-    /// several reducers living on the same server).
-    fn coalesce(demands: Vec<AggregatedDemand>) -> Vec<AggregatedDemand> {
-        let mut merged: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-        for d in demands {
-            *merged.entry((d.src, d.dst)).or_insert(0) += d.added_bytes;
-        }
-        merged
-            .into_iter()
-            .map(|((src, dst), added_bytes)| AggregatedDemand {
-                src,
-                dst,
-                added_bytes,
-            })
-            .collect()
+    /// several reducers living on the same server), in pair order.
+    fn coalesce(mut demands: Vec<AggregatedDemand>) -> Vec<AggregatedDemand> {
+        demands.sort_unstable_by_key(|d| (d.src, d.dst));
+        demands.dedup_by(|d, kept| {
+            let same = (d.src, d.dst) == (kept.src, kept.dst);
+            if same {
+                kept.added_bytes += d.added_bytes;
+            }
+            same
+        });
+        demands
     }
 
     /// A fetch completed: drain its predicted contribution from the pair's
@@ -360,10 +419,13 @@ impl Collector {
     /// launched — stale job, retracted map, or a lost launch event).
     /// Returns how many were expired.
     pub fn expire_parked(&mut self, now: SimTime, ttl: SimDuration) -> usize {
-        let before = self.pending.len();
-        self.pending
-            .retain(|e| now.saturating_since(e.parked_at) < ttl);
-        let expired = before - self.pending.len();
+        let before = self.parked;
+        self.pending.retain(|_, group| {
+            group.retain(|(_, e)| now.saturating_since(e.parked_at) < ttl);
+            !group.is_empty()
+        });
+        self.parked = self.pending.values().map(Vec::len).sum();
+        let expired = before - self.parked;
         self.parked_expired += expired as u64;
         expired
     }
@@ -376,16 +438,26 @@ impl Collector {
     /// Every pair with outstanding predicted volume, in deterministic
     /// order — the source of truth a recovering controller resyncs from.
     pub fn outstanding_pairs(&self) -> Vec<((NodeId, NodeId), u64)> {
-        self.outstanding
+        let mut pairs: Vec<((NodeId, NodeId), u64)> = self
+            .outstanding
             .iter()
             .filter(|(_, &v)| v > 0)
             .map(|(&k, &v)| (k, v))
-            .collect()
+            .collect();
+        pairs.sort_unstable_by_key(|&(pair, _)| pair);
+        pairs
     }
 
     /// Number of parked (unknown-destination) entries.
     pub fn parked(&self) -> usize {
-        self.pending.len()
+        self.parked
+    }
+
+    /// Every parked entry in global park order.
+    fn parked_in_order(&self) -> Vec<PendingEntry> {
+        let mut all: Vec<(u64, PendingEntry)> = self.pending.values().flatten().copied().collect();
+        all.sort_unstable_by_key(|&(seq, _)| seq);
+        all.into_iter().map(|(_, e)| e).collect()
     }
 
     /// Predicted cumulative remote-traffic curve for `node` (Figure 5).
@@ -395,12 +467,13 @@ impl Collector {
 
     /// Serialize the collector's mutable state. The server map is written
     /// too so a resume against a different scenario is a typed error, not
-    /// silent misrouting. Parked entries keep their order — resolution
-    /// order decides demand order at reducer launch.
+    /// silent misrouting. Parked entries keep their global park order —
+    /// resolution order decides demand order at reducer launch. Maps go
+    /// out in key order.
     pub fn put_state(&self, w: &mut SectionWriter) {
         self.server_nodes.put(w);
         self.reducer_loc.put(w);
-        self.pending.put(w);
+        self.parked_in_order().put(w);
         self.predicted_fetch.put(w);
         self.latest_src.put(w);
         self.outstanding.put(w);
@@ -423,8 +496,8 @@ impl Collector {
             return Err(r.malformed("collector server map differs from the running scenario"));
         }
         let n_servers = server_nodes.len();
-        let node_set: std::collections::BTreeSet<NodeId> = server_nodes.iter().copied().collect();
-        let reducer_loc = <BTreeMap<(JobId, ReducerId), ServerId> as Persist>::get(r)?;
+        let node_set: BTreeSet<NodeId> = server_nodes.iter().copied().collect();
+        let reducer_loc = <HashMap<(JobId, ReducerId), ServerId> as Persist>::get(r)?;
         for loc in reducer_loc.values() {
             if loc.0 as usize >= n_servers {
                 return Err(r.malformed(format!("reducer location {loc} out of range")));
@@ -440,19 +513,30 @@ impl Collector {
             }
         }
         let predicted_fetch =
-            <BTreeMap<(JobId, MapTaskId, ReducerId), CommittedFetch> as Persist>::get(r)?;
+            <HashMap<(JobId, MapTaskId, ReducerId), CommittedFetch> as Persist>::get(r)?;
         for c in predicted_fetch.values() {
             if !node_set.contains(&c.src) || !node_set.contains(&c.dst) {
                 return Err(r.malformed("committed fetch references a non-server node"));
             }
         }
-        let latest_src = <BTreeMap<(JobId, MapTaskId), ServerId> as Persist>::get(r)?;
-        for s in latest_src.values() {
-            if s.0 as usize >= n_servers {
-                return Err(r.malformed(format!("latest-src server {s} out of range")));
+        let mut latest_src = <HashMap<(JobId, MapTaskId), MapSource> as Persist>::get(r)?;
+        for m in latest_src.values() {
+            if m.server.0 as usize >= n_servers {
+                return Err(r.malformed(format!("latest-src server {} out of range", m.server)));
             }
         }
-        let outstanding = <BTreeMap<(NodeId, NodeId), u64> as Persist>::get(r)?;
+        // A map's reducer count bounds every reducer index it holds state
+        // for, committed or parked.
+        let held = predicted_fetch
+            .keys()
+            .copied()
+            .chain(pending.iter().map(|e| (e.job, e.map, e.reducer)));
+        for (job, map, reducer) in held {
+            if let Some(m) = latest_src.get_mut(&(job, map)) {
+                m.reducers = m.reducers.max(reducer.0.saturating_add(1));
+            }
+        }
+        let outstanding = <HashMap<(NodeId, NodeId), u64> as Persist>::get(r)?;
         for (&(src, dst), &v) in &outstanding {
             if v == 0 {
                 return Err(r.malformed("zero outstanding entry (should be removed)"));
@@ -461,7 +545,7 @@ impl Collector {
                 return Err(r.malformed("outstanding pair references a non-server node"));
             }
         }
-        let predicted_curves = <BTreeMap<NodeId, (f64, CumulativeCurve)> as Persist>::get(r)?;
+        let predicted_curves = <HashMap<NodeId, (f64, CumulativeCurve)> as Persist>::get(r)?;
         for (node, (total, _)) in &predicted_curves {
             if !node_set.contains(node) {
                 return Err(r.malformed("predicted curve for a non-server node"));
@@ -471,7 +555,12 @@ impl Collector {
             }
         }
         self.reducer_loc = reducer_loc;
-        self.pending = pending;
+        self.parked = pending.len();
+        self.next_park_seq = pending.len() as u64;
+        self.pending = HashMap::new();
+        for (seq, e) in pending.into_iter().enumerate() {
+            self.pending.entry(e.job).or_default().push((seq as u64, e));
+        }
         self.predicted_fetch = predicted_fetch;
         self.latest_src = latest_src;
         self.outstanding = outstanding;
@@ -507,6 +596,20 @@ impl Persist for PendingEntry {
     }
 }
 
+/// Only the server goes to bytes; `Collector::restore_state` derives the
+/// reducer count from the state the map still holds.
+impl Persist for MapSource {
+    fn put(&self, w: &mut SectionWriter) {
+        self.server.put(w);
+    }
+    fn get(r: &mut SectionReader) -> Result<Self, SnapshotError> {
+        Ok(MapSource {
+            server: ServerId::get(r)?,
+            reducers: 0,
+        })
+    }
+}
+
 impl Persist for CommittedFetch {
     fn put(&self, w: &mut SectionWriter) {
         self.bytes.put(w);
@@ -525,6 +628,7 @@ impl Persist for CommittedFetch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn msg(map: u32, src: u32, bytes: Vec<u64>, at_secs: u64) -> PredictionMsg {
         PredictionMsg {
@@ -777,6 +881,20 @@ mod tests {
             ServerId(1),
         );
         assert_eq!(c.outstanding_pairs(), vec![((NodeId(12), NodeId(11)), 300)]);
+        // Every remote pair of the cluster, committed in reverse pair
+        // order: the listing is still in pair order.
+        for r in 0..4 {
+            c.on_reducer_location(SimTime::ZERO, JobId(1), ReducerId(r), ServerId(r));
+        }
+        for (map, src) in (0..4).rev().enumerate() {
+            let p = job_msg(1, map as u32, src, vec![1, 2, 3, 4], 0);
+            c.on_prediction(SimTime::ZERO, &p);
+        }
+        let pairs: Vec<(NodeId, NodeId)> = c.outstanding_pairs().iter().map(|&(p, _)| p).collect();
+        let mut sorted = pairs.clone();
+        sorted.sort();
+        assert_eq!(pairs.len(), 12);
+        assert_eq!(pairs, sorted);
     }
 
     fn snapshot(c: &Collector) -> Vec<u8> {
@@ -822,6 +940,216 @@ mod tests {
             c.predicted_curve(NodeId(10)).unwrap().value_at(at),
             c2.predicted_curve(NodeId(10)).unwrap().value_at(at),
         );
+    }
+
+    fn job_msg(job: u32, map: u32, src: u32, bytes: Vec<u64>, at_secs: u64) -> PredictionMsg {
+        PredictionMsg {
+            job: JobId(job),
+            ..msg(map, src, bytes, at_secs)
+        }
+    }
+
+    /// Parked entries as `(job, map, reducer)`, in the order a snapshot
+    /// writes them.
+    fn parked_keys(c: &Collector) -> Vec<(u32, u32, u32)> {
+        c.parked_in_order()
+            .iter()
+            .map(|e| (e.job.0, e.map.0, e.reducer.0))
+            .collect()
+    }
+
+    /// A parked entry of the reference model: `(job, map, reducer,
+    /// bytes, src server)`.
+    type Parked = (u32, u32, u32, u64, u32);
+
+    fn model_keys(model: &[Parked]) -> Vec<(u32, u32, u32)> {
+        model.iter().map(|&(j, m, r, _, _)| (j, m, r)).collect()
+    }
+
+    /// Predictions of three jobs, two reducers each, interleaved in time;
+    /// every entry parks. Returns the parked model in park order.
+    fn park_three_jobs(c: &mut Collector) -> Vec<Parked> {
+        let mut model = Vec::new();
+        let preds = [
+            (0, 0, 0),
+            (1, 0, 1),
+            (0, 1, 2),
+            (2, 0, 3),
+            (1, 1, 0),
+            (0, 2, 1),
+        ];
+        for (i, &(job, map, src)) in preds.iter().enumerate() {
+            let bytes = vec![100 * (i as u64 + 1), 1000 * (i as u64 + 1)];
+            let out = c.on_prediction(
+                SimTime::from_secs(i as u64),
+                &job_msg(job, map, src, bytes.clone(), i as u64),
+            );
+            assert!(out.demands.is_empty());
+            for (r, &b) in bytes.iter().enumerate() {
+                model.push((job, map, r as u32, b, src));
+            }
+            assert_eq!(parked_keys(c), model_keys(&model));
+        }
+        model
+    }
+
+    #[test]
+    fn interleaved_jobs_release_in_park_order() {
+        let mut c = collector();
+        let mut model = park_three_jobs(&mut c);
+        // Launches alternate between jobs; each releases exactly the
+        // model's matching entries and leaves the rest in park order.
+        let launches = [
+            (1, 1, 2),
+            (0, 0, 3),
+            (2, 1, 1),
+            (0, 1, 2),
+            (1, 0, 3),
+            (2, 0, 0),
+        ];
+        for (k, &(job, reducer, server)) in launches.iter().enumerate() {
+            let at = SimTime::from_secs(10 + k as u64);
+            let demands =
+                c.on_reducer_location(at, JobId(job), ReducerId(reducer), ServerId(server));
+            let (released, kept): (Vec<Parked>, Vec<Parked>) = model
+                .iter()
+                .partition(|&&(j, _, r, _, _)| j == job && r == reducer);
+            model = kept;
+            let mut want: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+            for &(_, _, _, bytes, src) in &released {
+                if src != server {
+                    *want
+                        .entry((NodeId(10 + src), NodeId(10 + server)))
+                        .or_insert(0) += bytes;
+                }
+            }
+            let want: Vec<AggregatedDemand> = want
+                .into_iter()
+                .map(|((src, dst), added_bytes)| AggregatedDemand {
+                    src,
+                    dst,
+                    added_bytes,
+                })
+                .collect();
+            assert_eq!(demands, want, "launch {k}");
+            assert_eq!(parked_keys(&c), model_keys(&model), "launch {k}");
+            assert_eq!(c.parked(), model.len());
+        }
+        assert_eq!(c.parked(), 0);
+    }
+
+    #[test]
+    fn retracting_a_parked_map_keeps_other_entries_in_order() {
+        let mut c = collector();
+        let mut model = park_three_jobs(&mut c);
+        // Job 0's reducer 0 launches on server 3: map 0's reducer-0 entry
+        // commits (src 0 → 3, 100 bytes), its reducer-1 entry stays parked.
+        c.on_reducer_location(SimTime::from_secs(10), JobId(0), ReducerId(0), ServerId(3));
+        model.retain(|&(j, _, r, _, _)| !(j == 0 && r == 0));
+        assert_eq!(parked_keys(&c), model_keys(&model));
+        assert_eq!(c.outstanding(NodeId(10), NodeId(13)), 100);
+        // Map 0 of job 0 re-executes on server 2: its committed volume is
+        // withdrawn, its parked entry dropped, and the new prediction
+        // commits reducer 0 and parks reducer 1 at the back.
+        let out = c.on_prediction(SimTime::from_secs(11), &job_msg(0, 0, 2, vec![7, 70], 11));
+        assert_eq!(out.retracted, vec![((NodeId(10), NodeId(13)), 100)]);
+        assert_eq!(
+            out.demands,
+            vec![AggregatedDemand {
+                src: NodeId(12),
+                dst: NodeId(13),
+                added_bytes: 7
+            }]
+        );
+        model.retain(|&(j, m, _, _, _)| !(j == 0 && m == 0));
+        model.push((0, 0, 1, 70, 2));
+        assert_eq!(parked_keys(&c), model_keys(&model));
+        assert_eq!(c.parked(), model.len());
+        assert_eq!(c.retractions, 1);
+        // Reducer 1 of job 0 then releases the re-executed entry, not the
+        // withdrawn one.
+        let d = c.on_reducer_location(SimTime::from_secs(12), JobId(0), ReducerId(1), ServerId(1));
+        let from_src = |s: u32| {
+            d.iter()
+                .find(|x| x.src == NodeId(10 + s))
+                .map(|x| x.added_bytes)
+        };
+        assert_eq!(from_src(2), Some(70 + 3000));
+        assert_eq!(from_src(0), None, "the withdrawn entry must not release");
+    }
+
+    #[test]
+    fn ttl_expiry_spans_jobs() {
+        let mut c = collector();
+        let mut model = park_three_jobs(&mut c); // parked at t = 0..=5 s
+                                                 // TTL 3 s at t = 6 s: entries parked at t ≤ 3 s die, across jobs
+                                                 // 0, 1 and 2; survivors keep their order.
+        let expired = c.expire_parked(SimTime::from_secs(6), SimDuration::from_secs(3));
+        let parked_at = |m: &Parked| -> u64 {
+            [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+                .iter()
+                .position(|&(j, mm)| (j, mm) == (m.0, m.1))
+                .unwrap() as u64
+        };
+        let before = model.len();
+        model.retain(|m| 6 - parked_at(m) < 3);
+        assert_eq!(expired, before - model.len());
+        assert_eq!(expired, 8);
+        assert_eq!(c.parked_expired, 8);
+        assert_eq!(parked_keys(&c), model_keys(&model));
+        // Job 2's only map expired: its launch releases nothing, and it
+        // parks again from scratch.
+        assert!(c
+            .on_reducer_location(SimTime::from_secs(7), JobId(2), ReducerId(0), ServerId(1))
+            .is_empty());
+        c.on_prediction(SimTime::from_secs(8), &job_msg(2, 1, 0, vec![5, 50], 8));
+        model.push((2, 1, 1, 50, 0));
+        assert_eq!(parked_keys(&c), model_keys(&model));
+        assert_eq!(c.outstanding(NodeId(10), NodeId(11)), 5);
+        // Everything expires eventually.
+        c.expire_parked(SimTime::from_secs(100), SimDuration::from_secs(3));
+        assert_eq!(c.parked(), 0);
+        assert!(parked_keys(&c).is_empty());
+    }
+
+    #[test]
+    fn snapshot_keeps_global_park_order_and_resumes_identically() {
+        let mut c = collector();
+        park_three_jobs(&mut c);
+        // Partial release, a committed map, and a re-execution, so every
+        // map is non-trivial and park order spans jobs.
+        c.on_reducer_location(SimTime::from_secs(10), JobId(1), ReducerId(1), ServerId(2));
+        c.on_reducer_location(SimTime::from_secs(11), JobId(0), ReducerId(0), ServerId(3));
+        c.on_prediction(SimTime::from_secs(12), &job_msg(2, 0, 1, vec![9, 90], 12));
+        let bytes = snapshot(&c);
+        let mut c2 = collector();
+        let mut sec = pythia_snapshot::Reader::new(&bytes)
+            .unwrap()
+            .section("collector")
+            .unwrap();
+        c2.restore_state(&mut sec).unwrap();
+        sec.finish().unwrap();
+        assert_eq!(snapshot(&c2), bytes);
+        assert_eq!(parked_keys(&c2), parked_keys(&c));
+        assert_eq!(c2.parked(), c.parked());
+        // Both go on identically: new entries park behind the restored
+        // ones, a restored committed map retracts in full, launches
+        // release the same demands.
+        for col in [&mut c, &mut c2] {
+            col.on_prediction(SimTime::from_secs(13), &job_msg(1, 2, 3, vec![4, 40], 13));
+        }
+        assert_eq!(parked_keys(&c2), parked_keys(&c));
+        let r1 = c.on_prediction(SimTime::from_secs(14), &job_msg(0, 1, 0, vec![1, 1], 14));
+        let r2 = c2.on_prediction(SimTime::from_secs(14), &job_msg(0, 1, 0, vec![1, 1], 14));
+        assert_eq!(r1, r2);
+        assert_eq!(r1.retracted, vec![((NodeId(12), NodeId(13)), 300)]);
+        for (job, reducer, server) in [(0, 1, 1), (1, 0, 0), (2, 1, 3), (2, 0, 2)] {
+            let at = SimTime::from_secs(15);
+            let d1 = c.on_reducer_location(at, JobId(job), ReducerId(reducer), ServerId(server));
+            let d2 = c2.on_reducer_location(at, JobId(job), ReducerId(reducer), ServerId(server));
+            assert_eq!(d1, d2);
+        }
+        assert_eq!(snapshot(&c2), snapshot(&c));
     }
 
     #[test]

@@ -563,6 +563,38 @@ impl<K: Persist + Ord, V: Persist> Persist for std::collections::BTreeMap<K, V> 
     }
 }
 
+/// Written in key order, so the bytes equal those of a `BTreeMap` with
+/// the same entries whatever the hasher's seed; read back the same way.
+impl<K, V, S> Persist for std::collections::HashMap<K, V, S>
+where
+    K: Persist + Ord + std::hash::Hash,
+    V: Persist,
+    S: std::hash::BuildHasher + Default,
+{
+    fn put(&self, w: &mut SectionWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        self.len().put(w);
+        for (k, v) in entries {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut SectionReader) -> Result<Self, SnapshotError> {
+        let len = usize::get(r)?;
+        if len > r.remaining() {
+            return Err(r.malformed(format!("map length {len} exceeds section")));
+        }
+        let mut out = Self::with_capacity_and_hasher(len, S::default());
+        for _ in 0..len {
+            let k = K::get(r)?;
+            let v = V::get(r)?;
+            out.insert(k, v);
+        }
+        Ok(out)
+    }
+}
+
 impl<K: Persist + Ord> Persist for std::collections::BTreeSet<K> {
     fn put(&self, w: &mut SectionWriter) {
         self.len().put(w);
@@ -617,6 +649,25 @@ mod tests {
         round_trip((1u8, 2u16, 3u32));
         round_trip(BTreeMap::from([(1u32, 2u64), (3, 4)]));
         round_trip(std::collections::BTreeSet::from([5u32, 1, 9]));
+    }
+
+    #[test]
+    fn hash_map_writes_the_bytes_of_the_ordered_map() {
+        let entries: Vec<(u32, u64)> = (0..200).map(|i| ((i * 7919) % 1000, i as u64)).collect();
+        let ordered: BTreeMap<u32, u64> = entries.iter().copied().collect();
+        let bytes = |f: &dyn Fn(&mut SectionWriter)| {
+            let mut w = Writer::new();
+            w.section("m", f);
+            w.finish()
+        };
+        let want = bytes(&|s| s.put(&ordered));
+        // Two maps with independent hasher seeds, filled in opposite
+        // orders, iterate differently but write the same bytes.
+        let fwd: std::collections::HashMap<u32, u64> = entries.iter().copied().collect();
+        let rev: std::collections::HashMap<u32, u64> = entries.iter().rev().copied().collect();
+        assert_eq!(bytes(&|s| s.put(&fwd)), want);
+        assert_eq!(bytes(&|s| s.put(&rev)), want);
+        round_trip(fwd);
     }
 
     #[test]
