@@ -16,8 +16,8 @@
 //!   paper's Figure 5 question — how much lead time did prediction buy —
 //!   live, per server pair.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use pythia_cluster::ControlMsg;
 use pythia_cluster::ScenarioConfig;
@@ -51,33 +51,60 @@ pub trait InstallBackend {
     fn name(&self) -> &'static str;
 }
 
-/// One install waiting out its hardware programming latency.
-#[derive(Debug, Clone)]
-struct QueuedInstall {
-    due: SimTime,
-    seq: u64,
+/// What one queued install programs, and for whom.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct QueuedRule {
     tenant: u32,
     switch: NodeId,
     rule: FlowRule,
 }
 
-// Min-heap order on (due, issue-seq): ties on the due instant apply in
-// issue order, matching the engine's FIFO-on-equal-time event queue.
-impl PartialEq for QueuedInstall {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
+/// Installs waiting out their hardware programming latency, popped in
+/// `(due, issue-order)` order: ties on the due instant apply in issue
+/// order, matching the engine's FIFO-on-equal-time event queue.
+///
+/// The heap holds only the 16-byte `(due, seq)` keys; what each install
+/// programs waits in an issue-order ring, slot `seq - head`. A slot is
+/// emptied when its install applies, and empty slots leave the front of
+/// the ring as soon as they reach it.
+#[derive(Debug, Default)]
+struct InstallQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    ring: VecDeque<Option<QueuedRule>>,
+    /// Issue sequence number of `ring[0]`.
+    head: u64,
 }
-impl Eq for QueuedInstall {}
-impl PartialOrd for QueuedInstall {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+impl InstallQueue {
+    fn push(&mut self, due: SimTime, q: QueuedRule) {
+        let seq = self.head + self.ring.len() as u64;
+        self.ring.push_back(Some(q));
+        self.heap.push(Reverse((due, seq)));
     }
-}
-impl Ord for QueuedInstall {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-due first.
-        (other.due, other.seq).cmp(&(self.due, self.seq))
+
+    /// The earliest `(due, issue-order)` install due by `horizon`.
+    fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, QueuedRule)> {
+        let &Reverse((due, seq)) = self.heap.peek().filter(|r| r.0 .0 <= horizon)?;
+        self.heap.pop();
+        let q = self.ring[(seq - self.head) as usize]
+            .take()
+            .expect("every queued seq holds its install until it applies");
+        while self.ring.front().is_some_and(Option::is_none) {
+            self.ring.pop_front();
+            self.head += 1;
+        }
+        Some((due, q))
+    }
+
+    /// Drop every waiting install; issue order continues past them.
+    fn clear(&mut self) {
+        self.head += self.ring.len() as u64;
+        self.ring.clear();
+        self.heap.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -93,7 +120,7 @@ const INSTALL_RECORD_LEN: usize = 4 + 8 + 4 + 4 + (8 + 8 + 4 + 4 + 1) + 2 + 4 + 
 /// on the apply path — and it holds the observed values themselves, not
 /// their `Debug` rendering, so the digest moves only when what was
 /// programmed does.
-fn install_record(prev: u32, q: &QueuedInstall, ok: bool) -> [u8; INSTALL_RECORD_LEN] {
+fn install_record(prev: u32, due: SimTime, q: &QueuedRule, ok: bool) -> [u8; INSTALL_RECORD_LEN] {
     let m = &q.rule.matcher;
     let mut buf = [0u8; INSTALL_RECORD_LEN];
     let mut at = 0;
@@ -102,7 +129,7 @@ fn install_record(prev: u32, q: &QueuedInstall, ok: bool) -> [u8; INSTALL_RECORD
         at += bytes.len();
     };
     put(&prev.to_le_bytes());
-    put(&q.due.as_nanos().to_le_bytes());
+    put(&due.as_nanos().to_le_bytes());
     put(&q.tenant.to_le_bytes());
     put(&q.switch.0.to_le_bytes());
     put(&m.src.map_or(u64::MAX, |n| n.0 as u64).to_le_bytes());
@@ -133,8 +160,7 @@ fn install_record(prev: u32, q: &QueuedInstall, ok: bool) -> [u8; INSTALL_RECORD
 #[derive(Debug)]
 pub struct SimDataplaneBackend {
     dataplane: Dataplane,
-    pending: BinaryHeap<QueuedInstall>,
-    seq: u64,
+    pending: InstallQueue,
     installed: u64,
     tcam_rejected: u64,
     crc: u32,
@@ -147,8 +173,7 @@ impl SimDataplaneBackend {
         let mr = cfg.topology.build();
         SimDataplaneBackend {
             dataplane: Dataplane::new(&mr.topology, cfg.tcam_capacity),
-            pending: BinaryHeap::new(),
-            seq: 0,
+            pending: InstallQueue::default(),
             installed: 0,
             tcam_rejected: 0,
             crc: 0,
@@ -156,8 +181,7 @@ impl SimDataplaneBackend {
     }
 
     fn apply_due(&mut self, horizon: SimTime) {
-        while self.pending.peek().is_some_and(|q| q.due <= horizon) {
-            let q = self.pending.pop().expect("peeked entry exists");
+        while let Some((due, q)) = self.pending.pop_due(horizon) {
             let ok = self.dataplane.install(q.switch, q.rule).is_ok();
             if ok {
                 self.installed += 1;
@@ -167,7 +191,7 @@ impl SimDataplaneBackend {
             // Chain the digest over every applied install: two daemons
             // with the same digest programmed the same rules, in the same
             // order and at the same times, with the same outcomes.
-            self.crc = crc32(&install_record(self.crc, &q, ok));
+            self.crc = crc32(&install_record(self.crc, due, &q, ok));
         }
     }
 
@@ -200,14 +224,14 @@ impl SimDataplaneBackend {
 impl InstallBackend for SimDataplaneBackend {
     fn install(&mut self, now: SimTime, tenant: u32, rules: &[PendingRule]) {
         for p in rules {
-            self.seq += 1;
-            self.pending.push(QueuedInstall {
-                due: now + p.delay,
-                seq: self.seq,
-                tenant,
-                switch: p.switch,
-                rule: p.rule,
-            });
+            self.pending.push(
+                now + p.delay,
+                QueuedRule {
+                    tenant,
+                    switch: p.switch,
+                    rule: p.rule,
+                },
+            );
         }
         self.apply_due(now);
     }
@@ -493,6 +517,62 @@ mod tests {
         for (field, crc) in variants {
             assert_ne!(crc, base_crc, "changing {field} left the digest unchanged");
         }
+    }
+
+    /// The install queue against a sorted-`Vec` reference: random
+    /// batches whose dues collide within and across batches, drains to
+    /// random horizons, and controller crashes with installs in flight.
+    #[test]
+    fn install_queue_matches_sorted_reference() {
+        let mut draws = 0u64;
+        let mut draw = |n: u64| {
+            draws += 1;
+            pythia_des::splitmix64(draws) % n
+        };
+        let mut q = InstallQueue::default();
+        // `(due, issue seq, rule)`, kept sorted by `(due, seq)`.
+        let mut reference: Vec<(SimTime, u64, QueuedRule)> = Vec::new();
+        let mut seq = 0u64;
+        let mut now = SimTime::ZERO;
+        let mut dropped = 0;
+        for round in 0..2_000 {
+            if round % 150 == 149 {
+                // ControllerDown: everything in flight is lost.
+                dropped += reference.len();
+                q.clear();
+                reference.clear();
+            }
+            for _ in 0..draw(6) {
+                // Four distinct delays and a slow clock: dues collide
+                // inside a batch and with earlier batches.
+                let due = now + SimDuration::from_millis(draw(4));
+                let r = rule(draw(5) as u32, draw(5) as u32, draw(3) as u32);
+                let queued = QueuedRule {
+                    tenant: draw(3) as u32,
+                    switch: r.switch,
+                    rule: r.rule,
+                };
+                q.push(due, queued);
+                let at = reference.partition_point(|&(d, s, _)| (d, s) < (due, seq));
+                reference.insert(at, (due, seq, queued));
+                seq += 1;
+            }
+            now += SimDuration::from_millis(draw(2));
+            let horizon = if round % 40 == 39 { SimTime::MAX } else { now };
+            loop {
+                let want = reference
+                    .first()
+                    .filter(|&&(due, _, _)| due <= horizon)
+                    .map(|&(due, _, rule)| (due, rule));
+                assert_eq!(q.pop_due(horizon), want, "round {round}");
+                if want.is_none() {
+                    break;
+                }
+                reference.remove(0);
+            }
+            assert_eq!(q.len(), reference.len());
+        }
+        assert!(dropped > 0, "no crash caught installs in flight");
     }
 
     // Helper so the ordering test can override only the delay.

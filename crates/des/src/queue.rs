@@ -11,8 +11,7 @@
 //! estimates" (see the flow simulator).
 
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashSet};
 
 use crate::time::SimTime;
 
@@ -53,7 +52,13 @@ impl<E> Ord for HeapEntry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     /// Live event ids. Removed on pop or cancel.
-    live: HashMap<EventId, SimTime>,
+    live: HashSet<EventId>,
+    /// Most live events ever held at once. `live` keeps room for twice
+    /// this many, so once the tombstones its removals leave exhaust its
+    /// free slots it always cleans them by rehashing in place, never by
+    /// growing: a steady push/cancel/pop cycle allocates nothing, however
+    /// the per-process hash seed places its keys.
+    live_high_water: usize,
     next_seq: u64,
     /// Dead entries still physically in the heap.
     cancelled: u64,
@@ -75,7 +80,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: HashMap::new(),
+            live: HashSet::new(),
+            live_high_water: 0,
             next_seq: 0,
             cancelled: 0,
             dead_shed: 0,
@@ -95,8 +101,22 @@ impl<E> EventQueue<E> {
             id,
             payload,
         });
-        self.live.insert(id, time);
+        self.reserve_for_insert();
+        self.live.insert(id);
         id
+    }
+
+    /// One event is about to go live: keep `live`'s capacity at least
+    /// twice the live high-water mark. The table then holds at most half
+    /// its capacity whenever an insert finds no free slot, which is the
+    /// condition under which it rehashes in place instead of
+    /// reallocating. Only a new high-water mark can allocate.
+    fn reserve_for_insert(&mut self) {
+        let live = self.live.len() + 1;
+        if live > self.live_high_water {
+            self.live_high_water = live;
+            self.live.reserve(2 * live - self.live.len());
+        }
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
@@ -111,24 +131,21 @@ impl<E> EventQueue<E> {
     /// removes more entries than survive it, so its cost amortizes into
     /// the cancellations that triggered it: amortized O(1) per cancel.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.live.entry(id) {
-            Entry::Occupied(e) => {
-                e.remove();
-                self.cancelled += 1;
-                if self.cancelled as usize > self.live.len() && self.heap.len() > 64 {
-                    self.compact();
-                }
-                true
-            }
-            Entry::Vacant(_) => false,
+        if !self.live.remove(&id) {
+            return false;
         }
+        self.cancelled += 1;
+        if self.cancelled as usize > self.live.len() && self.heap.len() > 64 {
+            self.compact();
+        }
+        true
     }
 
     /// Rebuild the heap from its live entries only.
     fn compact(&mut self) {
         self.compactions += 1;
         let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|e| self.live.contains_key(&e.id));
+        entries.retain(|e| self.live.contains(&e.id));
         self.dead_shed += self.cancelled;
         self.cancelled = 0;
         self.heap = BinaryHeap::from(entries);
@@ -136,13 +153,13 @@ impl<E> EventQueue<E> {
 
     /// True if `id` is scheduled and not cancelled.
     pub fn is_pending(&self, id: EventId) -> bool {
-        self.live.contains_key(&id)
+        self.live.contains(&id)
     }
 
     /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.live.remove(&entry.id).is_some() {
+            if self.live.remove(&entry.id) {
                 return Some((entry.time, entry.id, entry.payload));
             }
             self.cancelled -= 1;
@@ -155,7 +172,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop dead entries from the top so peek is accurate.
         while let Some(entry) = self.heap.peek() {
-            if self.live.contains_key(&entry.id) {
+            if self.live.contains(&entry.id) {
                 return Some(entry.time);
             }
             self.heap.pop();
@@ -210,7 +227,7 @@ impl<E> EventQueue<E> {
         let mut out: Vec<(SimTime, u64, &E)> = self
             .heap
             .iter()
-            .filter(|e| self.live.contains_key(&e.id))
+            .filter(|e| self.live.contains(&e.id))
             .map(|e| (e.time, e.seq, &e.payload))
             .collect();
         out.sort_unstable_by_key(|&(_, seq, _)| seq);
@@ -240,7 +257,8 @@ impl<E> EventQueue<E> {
                 return Err(format!("event seq {seq} >= next_seq {next_seq}"));
             }
             let id = EventId(seq);
-            if q.live.insert(id, time).is_some() {
+            q.reserve_for_insert();
+            if !q.live.insert(id) {
                 return Err(format!("duplicate event seq {seq}"));
             }
             q.heap.push(HeapEntry {

@@ -1,11 +1,17 @@
 //! Paths through the topology.
 
+use std::sync::Arc;
+
 use crate::topology::{LinkId, NodeId, Topology};
 
 /// A directed path: a sequence of links leading from `src` to `dst`.
+///
+/// Immutable once built, so the link sequence is shared: cloning a path
+/// (the allocator's assignment, the controller's candidate sets, a
+/// flow's route) bumps a reference count instead of copying links.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
-    links: Vec<LinkId>,
+    links: Arc<[LinkId]>,
     src: NodeId,
     dst: NodeId,
 }
@@ -46,7 +52,11 @@ impl Path {
             visited.push(l.dst);
         }
         let dst = topo.link(*links.last().unwrap()).dst;
-        Ok(Path { links, src, dst })
+        Ok(Path {
+            links: links.into(),
+            src,
+            dst,
+        })
     }
 
     /// Build a path without validation. For internal use where the caller
@@ -55,7 +65,11 @@ impl Path {
         debug_assert!(!links.is_empty());
         let src = topo.link(links[0]).src;
         let dst = topo.link(*links.last().unwrap()).dst;
-        Path { links, src, dst }
+        Path {
+            links: links.into(),
+            src,
+            dst,
+        }
     }
 
     /// The link sequence, source side first.
@@ -82,7 +96,7 @@ impl Path {
     pub fn nodes(&self, topo: &Topology) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.links.len() + 1);
         out.push(self.src);
-        for &l in &self.links {
+        for &l in self.links.iter() {
             out.push(topo.link(l).dst);
         }
         out

@@ -8,8 +8,6 @@
 //! (ECMP) elsewhere. Pythia's prediction lead time is what makes this case
 //! rare; the rule-latency ablation makes it common on purpose.
 
-use std::collections::BTreeMap;
-
 use pythia_netsim::{FiveTuple, LinkId, NodeId, Path, Topology};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
 
@@ -84,7 +82,8 @@ pub enum ResolveError {
 /// The set of switch flow tables.
 #[derive(Debug)]
 pub struct Dataplane {
-    tables: BTreeMap<NodeId, FlowTable>,
+    /// Indexed by `NodeId`; `None` for servers, which have no table.
+    tables: Vec<Option<FlowTable>>,
     /// Bumped on any rule mutation; memoized resolutions carry the epoch
     /// they were computed under and die with it.
     epoch: u64,
@@ -95,8 +94,7 @@ impl Dataplane {
     pub fn new(topo: &Topology, tcam_capacity: usize) -> Self {
         let tables = topo
             .nodes()
-            .filter(|(_, n)| !n.is_server())
-            .map(|(id, _)| (id, FlowTable::new(tcam_capacity)))
+            .map(|(_, n)| (!n.is_server()).then(|| FlowTable::new(tcam_capacity)))
             .collect();
         Dataplane { tables, epoch: 0 }
     }
@@ -108,21 +106,22 @@ impl Dataplane {
 
     /// The flow table of `switch`, if it is a switch.
     pub fn table(&self, switch: NodeId) -> Option<&FlowTable> {
-        self.tables.get(&switch)
+        self.tables.get(switch.0 as usize)?.as_ref()
     }
 
     /// Mutable access to a switch's flow table. Conservatively bumps the
     /// rule epoch (the caller may mutate through it).
     pub fn table_mut(&mut self, switch: NodeId) -> Option<&mut FlowTable> {
         self.epoch += 1;
-        self.tables.get_mut(&switch)
+        self.tables.get_mut(switch.0 as usize)?.as_mut()
     }
 
     /// Install `rule` on `switch`.
     pub fn install(&mut self, switch: NodeId, rule: FlowRule) -> Result<(), TableError> {
         self.epoch += 1;
         self.tables
-            .get_mut(&switch)
+            .get_mut(switch.0 as usize)
+            .and_then(Option::as_mut)
             .expect("install on non-switch node")
             .install(rule)
     }
@@ -131,31 +130,30 @@ impl Dataplane {
     /// total number removed.
     pub fn remove_everywhere(&mut self, matcher: &FlowMatch) -> usize {
         self.epoch += 1;
-        self.tables.values_mut().map(|t| t.remove(matcher)).sum()
+        self.tables
+            .iter_mut()
+            .flatten()
+            .map(|t| t.remove(matcher))
+            .sum()
     }
 
-    /// Remove every rule whose action outputs to `link` (after a link
-    /// failure the controller flushes now-dead forwarding state). Returns
-    /// the number removed.
+    /// Flush the forwarding state a failed `link` killed: on each switch,
+    /// every rule whose matcher has some rule outputting to `link` there —
+    /// that rule and its siblings at other priorities, even those
+    /// outputting to live links. Rules of the same matcher on other
+    /// switches stay. One pass per table. Returns the number removed.
     pub fn remove_rules_via(&mut self, link: LinkId) -> usize {
         self.epoch += 1;
-        let mut removed = 0;
-        for t in self.tables.values_mut() {
-            let dead: Vec<crate::match_fields::FlowMatch> = t
-                .rules()
-                .filter(|r| r.out_link == link)
-                .map(|r| r.matcher)
-                .collect();
-            for m in dead {
-                removed += t.remove(&m);
-            }
-        }
-        removed
+        self.tables
+            .iter_mut()
+            .flatten()
+            .map(|t| t.remove_via(link))
+            .sum()
     }
 
     /// Total rules installed across all switches.
     pub fn total_rules(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
+        self.tables.iter().flatten().map(|t| t.len()).sum()
     }
 
     /// Resolve the path `tuple` takes from its source host to its
@@ -207,7 +205,7 @@ impl Dataplane {
                 return Err(ResolveError::ForwardingLoop { at: node });
             }
             hops += 1;
-            let out = if let Some(table) = self.tables.get_mut(&node) {
+            let out = if let Some(table) = self.tables[node.0 as usize].as_mut() {
                 match table.lookup(tuple) {
                     Some(rule) => {
                         if rule.matcher.src_port.is_some() || rule.matcher.dst_port.is_some() {
@@ -236,26 +234,49 @@ impl Dataplane {
         Ok(Path::new_unchecked(topo, links))
     }
 
-    /// Serialize every switch table plus the rule epoch.
+    /// Serialize the rule epoch, then the switch count and every
+    /// `(switch, table)` in switch order.
     pub fn put_state(&self, w: &mut SectionWriter) {
         self.epoch.put(w);
-        self.tables.put(w);
+        self.switch_tables().count().put(w);
+        for (id, table) in self.switch_tables() {
+            id.put(w);
+            table.put(w);
+        }
+    }
+
+    /// Every `(switch, table)`, in switch order.
+    fn switch_tables(&self) -> impl Iterator<Item = (NodeId, &FlowTable)> {
+        self.tables
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| Some((NodeId(i as u32), t.as_ref()?)))
     }
 
     /// Rebuild a dataplane from [`Dataplane::put_state`] bytes, validating
     /// the switch set and every rule against `topo`.
     pub fn get_state(topo: &Topology, r: &mut SectionReader) -> Result<Dataplane, SnapshotError> {
         let epoch = u64::get(r)?;
-        let tables = <BTreeMap<NodeId, FlowTable> as Persist>::get(r)?;
-        let want: Vec<NodeId> = topo
-            .nodes()
-            .filter(|(_, n)| !n.is_server())
-            .map(|(id, _)| id)
-            .collect();
-        if !tables.keys().copied().eq(want.iter().copied()) {
-            return Err(r.malformed("dataplane switch set does not match topology"));
+        let n = usize::get(r)?;
+        let switches = topo.nodes().filter(|(_, node)| !node.is_server()).count();
+        let mismatch =
+            |r: &SectionReader| r.malformed("dataplane switch set does not match topology");
+        if n != switches {
+            return Err(mismatch(r));
         }
-        for (&switch, table) in &tables {
+        let mut tables: Vec<Option<FlowTable>> = vec![None; topo.num_nodes()];
+        for _ in 0..n {
+            let switch = NodeId::get(r)?;
+            let table = FlowTable::get(r)?;
+            let is_switch =
+                (switch.0 as usize) < topo.num_nodes() && !topo.node(switch).is_server();
+            match tables.get_mut(switch.0 as usize).filter(|_| is_switch) {
+                Some(slot) if slot.is_none() => *slot = Some(table),
+                _ => return Err(mismatch(r)),
+            }
+        }
+        let dp = Dataplane { tables, epoch };
+        for (switch, table) in dp.switch_tables() {
             for rule in table.rules() {
                 if rule.out_link.0 as usize >= topo.num_links() {
                     return Err(r.malformed(format!(
@@ -276,7 +297,7 @@ impl Dataplane {
                 }
             }
         }
-        Ok(Dataplane { tables, epoch })
+        Ok(dp)
     }
 
     fn default_choice<D, C>(
@@ -490,8 +511,8 @@ mod tests {
             // swapping table bytes: easiest is to build a fresh dataplane
             // whose ToR0 table holds the foreign rule unchecked.
             let mut evil = Dataplane::new(topo, 16);
-            evil.tables
-                .get_mut(&mr.tors[0])
+            evil.tables[mr.tors[0].0 as usize]
+                .as_mut()
                 .unwrap()
                 .install(FlowRule {
                     matcher: FlowMatch::server_pair(mr.servers[0], mr.servers[7]),
@@ -510,6 +531,47 @@ mod tests {
             Err(pythia_snapshot::SnapshotError::Malformed { .. }) => {}
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn remove_rules_via_takes_the_dead_matchers_siblings() {
+        let (mr, mut dp, _) = setup();
+        let topo = &mr.topology;
+        let dead = topo.find_link(mr.tors[0], mr.tors[1], 0).unwrap();
+        let live = topo.find_link(mr.tors[0], mr.tors[1], 1).unwrap();
+        let down = topo.find_link(mr.tors[1], mr.servers[7], 0).unwrap();
+        let m = FlowMatch::server_pair(mr.servers[0], mr.servers[7]);
+        let other = FlowMatch::server_pair(mr.servers[1], mr.servers[7]);
+        let rules = [
+            // Through the dead trunk.
+            (mr.tors[0], m, 10, dead),
+            // Same matcher at another priority on a live trunk: its
+            // matcher has a rule through the dead link, so it goes too.
+            (mr.tors[0], m, 20, live),
+            // Another matcher on the live trunk stays.
+            (mr.tors[0], other, 10, live),
+            // The same matcher on another switch stays.
+            (mr.tors[1], m, 10, down),
+        ];
+        for (switch, matcher, priority, out_link) in rules {
+            dp.install(
+                switch,
+                FlowRule {
+                    matcher,
+                    priority,
+                    out_link,
+                },
+            )
+            .unwrap();
+        }
+        let epoch = dp.epoch();
+        assert_eq!(dp.remove_rules_via(dead), 2);
+        assert!(dp.epoch() > epoch);
+        let tor0: Vec<FlowRule> = dp.table(mr.tors[0]).unwrap().rules().copied().collect();
+        assert_eq!(tor0.len(), 1);
+        assert_eq!((tor0[0].matcher, tor0[0].out_link), (other, live));
+        assert_eq!(dp.table(mr.tors[1]).unwrap().len(), 1);
+        assert_eq!(dp.remove_rules_via(dead), 0);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! The table has finite capacity, modelling the scarce TCAM the paper's
 //! flow-aggregation design is motivated by (§IV).
 
+use std::collections::{HashMap, HashSet};
+
 use pythia_netsim::{FiveTuple, LinkId};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
 
@@ -38,7 +40,13 @@ pub enum TableError {
 struct Entry {
     rule: FlowRule,
     seq: u64,
+    /// Position of the next older rule pinning the same endpoint pair
+    /// ([`NIL`] ends the chain; unused for wildcarded-endpoint rules).
+    next: u32,
 }
+
+/// End of a pair chain.
+const NIL: u32 = u32::MAX;
 
 /// A finite-capacity, priority-ordered flow table.
 #[derive(Debug, Clone)]
@@ -50,15 +58,17 @@ pub struct FlowTable {
     pub lookups: u64,
     /// Lookups that matched no rule.
     pub misses: u64,
-    /// Lookup accelerator, rebuilt lazily after removals: positions of
-    /// exact endpoint-pair rules keyed and sorted by `(src, dst)`, plus
+    /// Lookup accelerator, rebuilt lazily after removals: for each
+    /// endpoint pair pinned by some rule, the position of the newest such
+    /// rule, whose [`Entry::next`] chains the pair's older ones; plus the
     /// positions of every other (wildcarded-endpoint) rule. A rule whose
     /// matcher pins both endpoints can only ever match that one pair, so
-    /// `pair_index` range + `wild_index` is a superset of the matching
+    /// the pair's chain + `wild_index` is a superset of the matching
     /// rules for any tuple; the winner under the total `(priority, seq)`
-    /// order is the same one the full scan would pick. `install` finds
-    /// its duplicate `(matcher, priority)` through the same index.
-    pair_index: Vec<(u32, u32, u32)>,
+    /// order is the same one the full scan would pick, whatever the chain
+    /// order. `install` finds its duplicate `(matcher, priority)` —
+    /// unique in the table — through the same index.
+    pair_head: HashMap<(u32, u32), u32>,
     wild_index: Vec<u32>,
     index_dirty: bool,
 }
@@ -74,22 +84,30 @@ impl FlowTable {
             next_seq: 0,
             lookups: 0,
             misses: 0,
-            pair_index: Vec::new(),
+            pair_head: HashMap::new(),
             wild_index: Vec::new(),
             index_dirty: false,
         }
     }
 
-    fn rebuild_index(&mut self) {
-        self.pair_index.clear();
-        self.wild_index.clear();
-        for (pos, e) in self.entries.iter().enumerate() {
-            match (e.rule.matcher.src, e.rule.matcher.dst) {
-                (Some(s), Some(d)) => self.pair_index.push((s.0, d.0, pos as u32)),
-                _ => self.wild_index.push(pos as u32),
+    /// Index the entry at `pos` (the newest entry of its pair so far).
+    fn index_entry(&mut self, pos: u32) {
+        let e = &mut self.entries[pos as usize];
+        e.next = match (e.rule.matcher.src, e.rule.matcher.dst) {
+            (Some(s), Some(d)) => self.pair_head.insert((s.0, d.0), pos).unwrap_or(NIL),
+            _ => {
+                self.wild_index.push(pos);
+                NIL
             }
+        };
+    }
+
+    fn rebuild_index(&mut self) {
+        self.pair_head.clear();
+        self.wild_index.clear();
+        for pos in 0..self.entries.len() as u32 {
+            self.index_entry(pos);
         }
-        self.pair_index.sort_unstable();
         self.index_dirty = false;
     }
 
@@ -133,35 +151,29 @@ impl FlowTable {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.entries.push(Entry { rule, seq });
+        self.entries.push(Entry {
+            rule,
+            seq,
+            next: NIL,
+        });
         // Incremental index insert; a full (lazy) rebuild is only ever
         // needed after removals shift entry positions.
-        let pos = (self.entries.len() - 1) as u32;
-        match (rule.matcher.src, rule.matcher.dst) {
-            (Some(s), Some(d)) => {
-                let key = (s.0, d.0, pos);
-                let at = self.pair_index.partition_point(|&e| e < key);
-                self.pair_index.insert(at, key);
-            }
-            _ => self.wild_index.push(pos),
-        }
+        self.index_entry((self.entries.len() - 1) as u32);
         Ok(())
     }
 
     /// Positions of the rules pinning exactly the endpoint pair `(src,
-    /// dst)` (clean index required).
+    /// dst)`, newest first (clean index required).
     fn pair_positions(&self, src: u32, dst: u32) -> impl Iterator<Item = u32> + '_ {
-        let key = (src, dst);
-        let start = self.pair_index.partition_point(|&(s, d, _)| (s, d) < key);
-        self.pair_index[start..]
-            .iter()
-            .take_while(move |&&(s, d, _)| (s, d) == key)
-            .map(|&(_, _, pos)| pos)
+        let head = self.pair_head.get(&(src, dst)).copied();
+        std::iter::successors(head, |&pos| {
+            Some(self.entries[pos as usize].next).filter(|&n| n != NIL)
+        })
     }
 
     /// Position of the rule with this exact matcher and priority, if any
     /// (clean index required). A rule pinning both endpoints can only sit
-    /// in its pair's index range; any other rule sits in `wild_index`.
+    /// in its pair's chain; any other rule sits in `wild_index`.
     fn position_of(&self, matcher: &FlowMatch, priority: u16) -> Option<usize> {
         let same = |&pos: &u32| {
             let r = &self.entries[pos as usize].rule;
@@ -177,8 +189,31 @@ impl FlowTable {
     /// Remove all rules with the given matcher. Returns how many were
     /// removed.
     pub fn remove(&mut self, matcher: &FlowMatch) -> usize {
+        self.remove_where(|m| m == matcher)
+    }
+
+    /// Remove every rule whose matcher has some rule outputting to
+    /// `link` — that rule and its siblings at other priorities, whatever
+    /// link those output to — in one pass over the table. Returns how
+    /// many were removed.
+    pub fn remove_via(&mut self, link: LinkId) -> usize {
+        let dead: HashSet<FlowMatch> = self
+            .entries
+            .iter()
+            .filter(|e| e.rule.out_link == link)
+            .map(|e| e.rule.matcher)
+            .collect();
+        if dead.is_empty() {
+            return 0;
+        }
+        self.remove_where(|m| dead.contains(m))
+    }
+
+    /// Remove the rules whose matcher satisfies `dead`, keeping the rest
+    /// in installation order; the lookup index is rebuilt lazily.
+    fn remove_where(&mut self, dead: impl Fn(&FlowMatch) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| e.rule.matcher != *matcher);
+        self.entries.retain(|e| !dead(&e.rule.matcher));
         let removed = before - self.entries.len();
         if removed > 0 {
             self.index_dirty = true;
@@ -279,7 +314,11 @@ impl Persist for FlowTable {
             if !keys.insert((rule.matcher, rule.priority)) {
                 return Err(r.malformed("duplicate (matcher, priority) rule"));
             }
-            entries.push(Entry { rule, seq });
+            entries.push(Entry {
+                rule,
+                seq,
+                next: NIL,
+            });
         }
         Ok(FlowTable {
             entries,
@@ -287,7 +326,7 @@ impl Persist for FlowTable {
             next_seq,
             lookups,
             misses,
-            pair_index: Vec::new(),
+            pair_head: HashMap::new(),
             wild_index: Vec::new(),
             index_dirty: true,
         })

@@ -9,6 +9,7 @@ use pythia_openflow::{
     k_shortest_paths, k_shortest_paths_avoiding, shortest_path, EcmpNextHops, FlowMatch, FlowRule,
     FlowTable, TableError,
 };
+use pythia_snapshot::Writer;
 
 fn params() -> impl Strategy<Value = MultiRackParams> {
     (2u32..5, 1u32..6, 1u32..5).prop_map(|(racks, spr, trunks)| MultiRackParams {
@@ -120,6 +121,8 @@ struct RefTable {
     rules: Vec<(FlowRule, u64)>,
     seq: u64,
     capacity: usize,
+    lookups: u64,
+    misses: u64,
 }
 
 impl RefTable {
@@ -148,12 +151,47 @@ impl RefTable {
         before - self.rules.len()
     }
 
-    fn lookup(&self, t: &FiveTuple) -> Option<FlowRule> {
-        self.rules
+    /// Remove, matcher by matcher, every matcher that has a rule
+    /// outputting to `link`.
+    fn remove_via(&mut self, link: LinkId) -> usize {
+        let dead: Vec<FlowMatch> = self
+            .rules
+            .iter()
+            .filter(|(r, _)| r.out_link == link)
+            .map(|(r, _)| r.matcher)
+            .collect();
+        dead.iter().map(|m| self.remove(m)).sum()
+    }
+
+    fn lookup(&mut self, t: &FiveTuple) -> Option<FlowRule> {
+        self.lookups += 1;
+        let hit = self
+            .rules
             .iter()
             .filter(|(r, _)| r.matcher.matches(t))
             .max_by(|(a, sa), (b, sb)| a.priority.cmp(&b.priority).then(sb.cmp(sa)))
-            .map(|(r, _)| *r)
+            .map(|(r, _)| *r);
+        self.misses += hit.is_none() as u64;
+        hit
+    }
+
+    /// The snapshot a flow table holding these rules must write:
+    /// capacity, next sequence, lookup counters, then every rule with its
+    /// sequence number in installation order.
+    fn snapshot(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.section("table", |s| {
+            s.put(&(self.capacity as u64));
+            s.put(&self.seq);
+            s.put(&self.lookups);
+            s.put(&self.misses);
+            s.put(&(self.rules.len() as u64));
+            for (rule, seq) in &self.rules {
+                s.put(rule);
+                s.put(seq);
+            }
+        });
+        w.finish()
     }
 
     /// The `sel`-th resident rule (wrapping), if any.
@@ -173,6 +211,9 @@ enum TableOp {
     /// Remove a resident rule's matcher (or a random one when empty),
     /// leaving the lookup index dirty.
     Remove(usize, FlowMatch),
+    /// Remove every matcher with a rule through a link, as after that
+    /// link failed.
+    RemoveVia(u32),
     /// Look a tuple up.
     Lookup(FiveTuple),
 }
@@ -187,6 +228,7 @@ fn arb_op() -> impl Strategy<Value = TableOp> {
         install(),
         (any::<usize>(), 0u32..8).prop_map(|(i, l)| TableOp::Replace(i, l)),
         (any::<usize>(), arb_match()).prop_map(|(i, m)| TableOp::Remove(i, m)),
+        (0u32..8).prop_map(TableOp::RemoveVia),
         arb_tuple().prop_map(TableOp::Lookup),
     ]
 }
@@ -222,17 +264,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The flow table agrees with the naive reference under interleaved
-    /// installs, removes and lookups on a tiny TCAM: every install result
-    /// (`TableFull`, replace-when-full), every removal count, `len()` and
-    /// every lookup. Removals dirty the lookup index, so installs and
-    /// lookups after them take the rebuild path.
+    /// installs, replaces, removes and lookups on a small TCAM: every
+    /// install result (`TableFull`, replace-when-full), every removal
+    /// count, `len()`, every lookup and the snapshot bytes after every
+    /// step. Endpoints, ports and priorities are drawn from small ranges,
+    /// so pairs collect chains of several rules. Removals dirty the
+    /// lookup index, so installs and lookups after them take the rebuild
+    /// path.
     #[test]
     fn flow_table_matches_reference(
-        capacity in 1usize..=6,
-        ops in proptest::collection::vec(arb_op(), 1..48),
+        capacity in 1usize..=12,
+        ops in proptest::collection::vec(arb_op(), 1..64),
     ) {
         let mut table = FlowTable::new(capacity);
-        let mut reference = RefTable { rules: Vec::new(), seq: 0, capacity };
+        let mut reference = RefTable { rules: Vec::new(), seq: 0, capacity, lookups: 0, misses: 0 };
         for op in ops {
             match op {
                 TableOp::Install(m, prio, link) => {
@@ -250,11 +295,18 @@ proptest! {
                     let m = reference.pick(sel).map_or(m, |r| r.matcher);
                     prop_assert_eq!(table.remove(&m), reference.remove(&m), "{:?}", m);
                 }
+                TableOp::RemoveVia(link) => {
+                    let link = LinkId(link);
+                    prop_assert_eq!(table.remove_via(link), reference.remove_via(link));
+                }
                 TableOp::Lookup(t) => {
                     prop_assert_eq!(table.lookup(&t), reference.lookup(&t), "tuple {}", t);
                 }
             }
             prop_assert_eq!(table.len(), reference.rules.len());
+            let mut w = Writer::new();
+            w.section("table", |s| s.put(&table));
+            prop_assert_eq!(w.finish(), reference.snapshot());
         }
     }
 }

@@ -111,10 +111,11 @@ pub struct Collector {
     /// Known reducer locations (hadoop server ids), per job.
     reducer_loc: HashMap<(JobId, ReducerId), ServerId>,
     /// Predictions whose reducer location is not yet known, grouped per
-    /// job, each group in park order. The sequence number beside each
+    /// `(job, reducer)`, each group in park order, so a reducer launch
+    /// takes its group with one probe. The sequence number beside each
     /// entry orders the groups against each other: snapshots write the
     /// entries in global park order.
-    pending: HashMap<JobId, Vec<(u64, PendingEntry)>>,
+    pending: HashMap<(JobId, ReducerId), Vec<(u64, PendingEntry)>>,
     /// Sequence number of the next parked entry.
     next_park_seq: u64,
     /// Parked entries over all jobs.
@@ -238,19 +239,19 @@ impl Collector {
         outcome
     }
 
-    /// Append `entry` to its job's parked group.
+    /// Append `entry` to its reducer's parked group.
     fn park(&mut self, entry: PendingEntry) {
         let seq = self.next_park_seq;
         self.next_park_seq += 1;
         self.pending
-            .entry(entry.job)
+            .entry((entry.job, entry.reducer))
             .or_default()
             .push((seq, entry));
         self.parked += 1;
     }
 
     /// Reducer-launch event observed: fill in every parked entry for this
-    /// reducer, in park order. Only the job's own group is scanned.
+    /// reducer, in park order. The reducer's group is removed whole.
     pub fn on_reducer_location(
         &mut self,
         now: SimTime,
@@ -263,24 +264,14 @@ impl Collector {
             return Vec::new();
         }
         self.reducer_loc.insert((job, reducer), server);
-        let mut out = Vec::new();
-        let Some(mut group) = self.pending.remove(&job) else {
-            return out;
+        let Some(group) = self.pending.remove(&(job, reducer)) else {
+            return Vec::new();
         };
-        let before = group.len();
-        group.retain(|&(_, entry)| {
-            if entry.reducer != reducer {
-                return true;
-            }
-            if let Some(d) = self.commit(now, entry, server) {
-                out.push(d);
-            }
-            false
-        });
-        self.parked -= before - group.len();
-        if !group.is_empty() {
-            self.pending.insert(job, group);
-        }
+        self.parked -= group.len();
+        let out = group
+            .into_iter()
+            .filter_map(|(_, entry)| self.commit(now, entry, server))
+            .collect();
         Self::coalesce(out)
     }
 
@@ -345,19 +336,20 @@ impl Collector {
     ) -> Vec<((NodeId, NodeId), u64)> {
         let mut drains = Vec::new();
         for r in 0..reducers {
-            if let Some(c) = self.predicted_fetch.remove(&(job, map, ReducerId(r))) {
+            let reducer = ReducerId(r);
+            if let Some(c) = self.predicted_fetch.remove(&(job, map, reducer)) {
                 if c.src != c.dst && c.bytes > 0 {
                     self.sub_outstanding((c.src, c.dst), c.bytes);
                     drains.push(((c.src, c.dst), c.bytes));
                 }
             }
-        }
-        if let Some(group) = self.pending.get_mut(&job) {
-            let before = group.len();
-            group.retain(|(_, e)| e.map != map);
-            self.parked -= before - group.len();
-            if group.is_empty() {
-                self.pending.remove(&job);
+            if let Some(group) = self.pending.get_mut(&(job, reducer)) {
+                let before = group.len();
+                group.retain(|(_, e)| e.map != map);
+                self.parked -= before - group.len();
+                if group.is_empty() {
+                    self.pending.remove(&(job, reducer));
+                }
             }
         }
         drains.sort_unstable_by_key(|&(pair, _)| pair);
@@ -559,7 +551,10 @@ impl Collector {
         self.next_park_seq = pending.len() as u64;
         self.pending = HashMap::new();
         for (seq, e) in pending.into_iter().enumerate() {
-            self.pending.entry(e.job).or_default().push((seq as u64, e));
+            self.pending
+                .entry((e.job, e.reducer))
+                .or_default()
+                .push((seq as u64, e));
         }
         self.predicted_fetch = predicted_fetch;
         self.latest_src = latest_src;
@@ -1116,11 +1111,21 @@ mod tests {
     fn snapshot_keeps_global_park_order_and_resumes_identically() {
         let mut c = collector();
         park_three_jobs(&mut c);
-        // Partial release, a committed map, and a re-execution, so every
-        // map is non-trivial and park order spans jobs.
+        // Partial release, a committed map, a re-execution and a TTL
+        // sweep, so every map is non-trivial and park order spans jobs.
         c.on_reducer_location(SimTime::from_secs(10), JobId(1), ReducerId(1), ServerId(2));
         c.on_reducer_location(SimTime::from_secs(11), JobId(0), ReducerId(0), ServerId(3));
         c.on_prediction(SimTime::from_secs(12), &job_msg(2, 0, 1, vec![9, 90], 12));
+        // A TTL sweep across jobs 0 and 1 (entries parked at t ≤ 3 s)
+        // leaves the survivors of three jobs in park order.
+        assert_eq!(
+            c.expire_parked(SimTime::from_secs(12), SimDuration::from_secs(9)),
+            3
+        );
+        assert_eq!(
+            parked_keys(&c),
+            vec![(1, 1, 0), (0, 2, 1), (2, 0, 0), (2, 0, 1)]
+        );
         let bytes = snapshot(&c);
         let mut c2 = collector();
         let mut sec = pythia_snapshot::Reader::new(&bytes)

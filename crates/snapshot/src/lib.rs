@@ -144,11 +144,15 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected), table generated at compile time.
+// CRC32 (IEEE 802.3, reflected), slicing-by-8 over tables generated at
+// compile time.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic bytewise table; `CRC32_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight table
+/// lookups fold one little-endian 64-bit word into the register.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -161,19 +165,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// IEEE CRC32 of `data` (the polynomial zlib and Ethernet use).
+/// IEEE CRC32 of `data` (the polynomial zlib and Ethernet use), eight
+/// bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -694,6 +723,38 @@ mod tests {
         // The classic zlib test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook bit-at-a-time IEEE CRC32, the definition the table
+    /// driven version must reproduce.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn crc32_wordwise_matches_bytewise_definition() {
+        // Every length 0..=256 at every start offset 0..8, so each word
+        // alignment and each remainder length is covered.
+        let data: Vec<u8> = (0..264u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for off in 0..8 {
+            for len in 0..=256 {
+                let s = &data[off..off + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "offset {off} length {len}");
+            }
+        }
     }
 
     #[test]
