@@ -4,10 +4,12 @@
 //! These back `BENCH_daemon.json`. The headline number is predictions
 //! per hour through the in-process daemon + simulator-dataplane backend
 //! — the paper's control plane must sustain millions of predictions per
-//! hour to keep up with a busy Hadoop fleet, and CI holds the daemon to
-//! a 1 M/hour floor (`pythia-sim serve` prints the live measurement the
-//! assertion reads). Every stream is deterministic, so predictions/hour
-//! falls out of `ns_per_iter` divided by the stream's prediction count.
+//! hour to keep up with a busy Hadoop fleet, and the release perf gates
+//! (`tests/perf_gates.rs`) hold the threaded daemon to the
+//! `BENCH_daemon.json` floor through `pythia_daemon::serve_synthetic`,
+//! the run `pythia-sim serve` prints. Every stream is deterministic, so
+//! predictions/hour falls out of `ns_per_iter` divided by the stream's
+//! prediction count.
 //!
 //! Run with `BENCH_JSON=<file> cargo bench -p pythia-bench --bench
 //! engine_daemon` for machine-readable `ns_per_iter` lines.

@@ -5,7 +5,8 @@
 //! jobs (Sort/Nutch mix, bounded-Pareto sizes) streamed through the
 //! engine on a k=16 fat-tree with a 16-way pod-sharded collector and
 //! epoch-batched rule installs — the configuration whose sustained
-//! event rate the CI fleet smoke floors at 100k events/sec
+//! event rate the fleet smoke (`tests/fleet_smoke.rs`,
+//! `FLEET_SERVERS=1024`) floors at the `BENCH_fleet.json` rate
 //! (relaxed-order solver, pinned at runtime). A k=8 (128-server)
 //! variant runs the same fleet for scaling context.
 //!
@@ -20,8 +21,9 @@ use pythia_des::SimDuration;
 use pythia_netsim::{BackgroundProfile, FatTreeParams};
 use pythia_workloads::FleetSpec;
 
-/// The fleet of the CI floor: 1000 jobs, ~4 s mean interarrival,
-/// 512 MB – 8 GB bounded-Pareto inputs over the default Sort/Nutch mix.
+/// The fleet of the `BENCH_fleet.json` floor: 1000 jobs, ~4 s mean
+/// interarrival, 512 MB – 8 GB bounded-Pareto inputs over the default
+/// Sort/Nutch mix.
 fn fleet() -> FleetSpec {
     let mut f = FleetSpec::poisson(1000, SimDuration::from_secs(4), 42);
     f.min_input_bytes = 512 << 20;

@@ -7,7 +7,9 @@
 //! dispatch cost (flow scans, payload clones, per-tick rebuilds)
 //! dominates once the rate engine and control plane are incremental.
 //! `sort60_fat8_pythia_relaxed` is the Pythia sort again on the
-//! relaxed-order solver, pinned at runtime; it has its own floor.
+//! relaxed-order solver, pinned at runtime; it has its own floor. The
+//! floors are gated by the release perf gates (`tests/perf_gates.rs`),
+//! which run the two Pythia sorts themselves rather than this bench.
 //!
 //! Every scenario is deterministic, so events/sec is derived by dividing
 //! the (printed) event count by the measured wall clock. Run with

@@ -37,7 +37,7 @@ use pythia_trace::SpanHist;
 
 pub use archive::InstallArchive;
 pub use backend::{InstallBackend, InstallRecord, RecordingBackend, SimDataplaneBackend};
-pub use server::{DaemonHandle, DaemonReport};
+pub use server::{serve_synthetic, DaemonHandle, DaemonReport};
 
 /// Ingest/dispatch counters. `shed` only ever grows when the bounded
 /// queue was full — explicit backpressure, never a silent drop — and

@@ -18,7 +18,7 @@ use pythia_cluster::{ControlMsg, ScenarioConfig, SchedulerKind, ServiceError};
 use pythia_des::SimTime;
 
 use crate::backend::{InstallBackend, SimDataplaneBackend};
-use crate::{Daemon, DaemonStats};
+use crate::{synthetic_stream, Daemon, DaemonStats};
 
 type Envelope = (SimTime, Instant, ControlMsg);
 
@@ -133,21 +133,37 @@ impl DaemonHandle {
     }
 }
 
+/// Feed `predictions` synthetic predictions ([`synthetic_stream`])
+/// losslessly through a freshly spawned sim daemon with a
+/// `queue_capacity` channel, and return its report with the wall time
+/// from the first ingest to the drained shutdown (the stream is built
+/// before the clock starts). `pythia-sim serve` prints this run; the
+/// release perf gates hold it to `BENCH_daemon.json`.
+pub fn serve_synthetic(
+    cfg: &ScenarioConfig,
+    predictions: usize,
+    queue_capacity: usize,
+) -> Result<(DaemonReport, Duration), ServiceError> {
+    let stream = synthetic_stream(cfg, predictions);
+    let handle = DaemonHandle::spawn_sim(cfg, queue_capacity)?;
+    let start = Instant::now();
+    for (t, m) in stream {
+        handle.ingest_blocking(t, m);
+    }
+    let report = handle.shutdown();
+    Ok((report, start.elapsed()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synthetic_stream;
 
     #[test]
     fn threaded_daemon_processes_a_stream() {
         let cfg = ScenarioConfig::default().with_scheduler(SchedulerKind::Pythia);
-        let h = DaemonHandle::spawn_sim(&cfg, 256).expect("pythia");
-        let msgs = synthetic_stream(&cfg, 200);
-        let total = msgs.len() as u64;
-        for (t, m) in msgs {
-            assert!(h.ingest_blocking(t, m));
-        }
-        let report = h.shutdown();
+        let total = synthetic_stream(&cfg, 200).len() as u64;
+        let (report, elapsed) = serve_synthetic(&cfg, 200, 256).expect("pythia");
+        assert!(elapsed > Duration::ZERO);
         assert_eq!(report.backend, "sim-dataplane");
         assert_eq!(report.stats.shed, 0);
         assert_eq!(report.stats.processed, total);

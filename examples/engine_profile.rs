@@ -6,7 +6,8 @@
 //! attribution tool behind DESIGN.md §5g's per-event complexity budget —
 //! run it after touching the engine to see where dispatch time goes.
 //! Every mode runs the relaxed-order solver (pinned at runtime), the
-//! solver whose share of wall time CI budgets.
+//! solver whose share of wall time the release perf gates budget
+//! (`tests/perf_gates.rs`).
 //!
 //! ```text
 //! cargo run --release --example engine_profile            # pythia
@@ -109,36 +110,5 @@ fn main() {
         if *v > 0 {
             println!("counter {name}: {v}");
         }
-    }
-
-    // Machine-readable attribution for CI budget gates (the solver-share
-    // assert) and the BENCH_*.json provenance notes: `PROFILE_JSON=<file>`
-    // writes one JSON object with the full span table and counters.
-    if let Ok(path) = std::env::var("PROFILE_JSON") {
-        let mut spans: Vec<_> = stats.spans.iter().collect();
-        spans.sort_by_key(|&(_, h)| std::cmp::Reverse(h.total_wall_ns));
-        let span_json: Vec<String> = spans
-            .iter()
-            .map(|(name, h)| {
-                format!(
-                    "{{\"name\": \"{name}\", \"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                    h.count, h.total_wall_ns, h.max_wall_ns
-                )
-            })
-            .collect();
-        let counter_json: Vec<String> = stats
-            .counters
-            .iter()
-            .map(|(name, v)| format!("\"{name}\": {v}"))
-            .collect();
-        let json = format!(
-            "{{\"mode\": \"{}\", \"events\": {events}, \"wall_ns\": {}, \
-             \"spans\": [{}], \"counters\": {{{}}}}}\n",
-            if mode.is_empty() { "pythia" } else { &mode },
-            wall.as_nanos(),
-            span_json.join(", "),
-            counter_json.join(", ")
-        );
-        std::fs::write(&path, json).expect("write PROFILE_JSON");
     }
 }

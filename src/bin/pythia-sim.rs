@@ -16,7 +16,10 @@
 //! `pythia-sim serve` runs the live control-plane daemon instead of a
 //! batch simulation: a deterministic synthetic prediction stream is fed
 //! through the threaded daemon and the ingest→install throughput and
-//! latency are printed (machine-parsed by CI against `BENCH_daemon.json`).
+//! latency are printed on one `daemon:` line. The release perf gates
+//! (`tests/perf_gates.rs`) run the same library call
+//! (`pythia_daemon::serve_synthetic`) and hold its report to
+//! `BENCH_daemon.json`.
 
 use std::process::exit;
 
@@ -24,7 +27,7 @@ use pythia_repro::cluster::{
     resume_multi_scenario, run_multi_scenario_checkpointed, run_scenario, CheckpointPolicy,
     RunReport, ScenarioConfig, SchedulerKind,
 };
-use pythia_repro::daemon::{synthetic_stream, DaemonHandle};
+use pythia_repro::daemon::serve_synthetic;
 use pythia_repro::des::SimDuration;
 use pythia_repro::hadoop::JobSpec;
 use pythia_repro::metrics::{render_seqdiag, SeqDiagramOptions};
@@ -278,8 +281,8 @@ fn run_with_durability(args: &Args, job: JobSpec, cfg: &ScenarioConfig) -> RunRe
 
 /// `pythia-sim serve`: run the threaded control-plane daemon against a
 /// deterministic synthetic prediction stream and print throughput plus
-/// ingest→install latency. The stable `daemon:` line is machine-parsed
-/// by CI against `BENCH_daemon.json`.
+/// ingest→install latency on one stable `daemon:` line
+/// (`tests/cli_flags.rs` checks its shape).
 fn serve_main() -> ! {
     let mut predictions: usize = 200_000;
     let mut queue_capacity: usize = 65_536;
@@ -329,24 +332,17 @@ fn serve_main() -> ! {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(ratio)
         .with_seed(seed);
-    let stream = synthetic_stream(&cfg, predictions);
     println!(
         "serving {} predictions (queue capacity {}, ratio 1:{}, seed {}) …",
         predictions, queue_capacity, ratio, seed
     );
-    let handle = match DaemonHandle::spawn_sim(&cfg, queue_capacity) {
-        Ok(h) => h,
+    let (report, elapsed) = match serve_synthetic(&cfg, predictions, queue_capacity) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("daemon error: {e}");
             exit(1);
         }
     };
-    let start = std::time::Instant::now();
-    for (t, m) in stream {
-        handle.ingest_blocking(t, m);
-    }
-    let report = handle.shutdown();
-    let elapsed = start.elapsed();
     let per_hour = predictions as f64 / elapsed.as_secs_f64() * 3600.0;
     println!(
         "daemon: backend={} ingested={} shed={} installed={} tcam_rejected={} \

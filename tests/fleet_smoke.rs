@@ -5,13 +5,14 @@
 //! The k=4 (16-server) smoke always runs. The 1024-server fleet is opt-in
 //! via the `FLEET_SERVERS` environment variable (CI's workflow_dispatch
 //! knob, mirroring `SCALE_SERVERS`): `FLEET_SERVERS=1024` adds the k=16
-//! fabric with ≥1000 streamed jobs and pins the 175k events/sec floor
-//! from `BENCH_fleet.json`, scaled by the fixed-work session factor
-//! (`pythia_experiments::calibrate`) so host drift cannot fake a
-//! regression — or hide one.
+//! fabric with ≥1000 streamed jobs and pins the `fleet1000_fat16_pythia`
+//! events/sec floor read from `BENCH_fleet.json`, scaled by the
+//! fixed-work session factor (`pythia_experiments::calibrate`) so host
+//! drift cannot fake a regression — or hide one.
 
 use pythia_repro::cluster::{run_multi_scenario, ScenarioConfig, SchedulerKind};
 use pythia_repro::des::SimDuration;
+use pythia_repro::experiments::calibrate;
 use pythia_repro::netsim::FatTreeParams;
 use pythia_repro::workloads::FleetSpec;
 
@@ -87,7 +88,7 @@ fn streaming_single_shard_matches_eager_unsharded() {
 
 /// The 1024-server fleet: ≥1000 streamed jobs on a k=16 fat-tree with 16
 /// collector shards and epoch-batched installs, sustained above the
-/// calibration-scaled `BENCH_fleet.json` floor of 175k events/sec
+/// calibration-scaled `BENCH_fleet.json` events/sec floor
 /// (relaxed-order solver, the fleet's production mode).
 #[test]
 fn fleet_1024_sustains_event_rate_gated() {
@@ -95,6 +96,11 @@ fn fleet_1024_sustains_event_rate_gated() {
         eprintln!("skipped: set FLEET_SERVERS>=1024 to run the 1024-server fleet");
         return;
     }
+    let floor = calibrate::json_number(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fleet.json"),
+        "fleet1000_fat16_pythia",
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let mut fleet = FleetSpec::poisson(1000, SimDuration::from_secs(4), 42);
     fleet.min_input_bytes = 512 << 20;
     fleet.max_input_bytes = 8u64 << 30;
@@ -120,7 +126,9 @@ fn fleet_1024_sustains_event_rate_gated() {
     // Scale this session's measured rate by the fixed-work calibration
     // factor, so the floor check compares against the reference host in
     // BENCH_HOST.json instead of whatever state the shared box is in.
-    let factor = pythia_repro::experiments::calibrate::measured_session_factor("BENCH_HOST.json");
+    let factor =
+        calibrate::measured_session_factor(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_HOST.json"))
+            .unwrap_or_else(|e| panic!("{e}"));
     let calibrated = rate * factor;
     eprintln!(
         "fleet1024: {} jobs, {} events in {wall:.1}s = {rate:.0} ev/s raw, \
@@ -133,11 +141,11 @@ fn fleet_1024_sustains_event_rate_gated() {
     );
     assert_eq!(r.jobs.len(), 1000);
     assert!(r.epoch_batches > 0);
-    // 70% of the BENCH_fleet.json floor, same allowance as the engine
-    // throughput smoke in ci.yml.
+    // 70% of the BENCH_fleet.json floor, the allowance of the engine
+    // floors in tests/perf_gates.rs.
     assert!(
-        calibrated > 0.7 * 175_000.0,
+        calibrated > 0.7 * floor,
         "calibrated fleet event rate {calibrated:.0} ev/s (raw {rate:.0} × {factor:.2}) \
-         under 70% of the 175k floor (BENCH_fleet.json, host context BENCH_HOST.json)"
+         under 70% of the {floor} floor (BENCH_fleet.json, host context BENCH_HOST.json)"
     );
 }

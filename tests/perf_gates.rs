@@ -1,0 +1,201 @@
+//! Release-only performance gates, one `#[test]` per gate:
+//!
+//! - **Engine floors**: the 60 GB Sort on a fat-tree k=8 (1:10, seed 7),
+//!   exact and relaxed-order, at ≥ 70% of their calibrated
+//!   `BENCH_engine.json` floors.
+//! - **Solver share**: on the traced relaxed Sort, the rate solver
+//!   (`net_recompute`) takes ≤ 15% of wall time.
+//! - **Daemon**: 100k synthetic predictions through the threaded daemon
+//!   at ≥ 70% of the `BENCH_daemon.json` throughput floor and under its
+//!   p99 ceiling.
+//! - **Disabled trace record**: `Trace::record` with the recorder off
+//!   costs < 100 ns.
+//!
+//! Every floor and ceiling is read from the `BENCH_*.json` file that
+//! records it, every event count from the run's own report, and every
+//! rate is scaled by this session's fixed-work calibration factor
+//! (`pythia_experiments::calibrate`, reference in `BENCH_HOST.json`). A
+//! missing or unparsable number fails the gate. Debug builds ignore the
+//! gates (the reference cross-check dominates their timing). Run them
+//! serially, so the relaxed solver's worker pool never times against
+//! another gate:
+//!
+//! ```text
+//! cargo test --release --test perf_gates -- --test-threads=1
+//! ```
+
+use std::hint::black_box;
+use std::time::Instant;
+
+use pythia_repro::cluster::{run_scenario, ScenarioConfig, SchedulerKind};
+use pythia_repro::daemon::serve_synthetic;
+use pythia_repro::experiments::calibrate::{json_number, measured_session_factor};
+use pythia_repro::netsim::{FatTreeParams, FlowId, NodeId};
+use pythia_repro::trace::{Component, Trace, TraceConfig, TraceEvent};
+use pythia_repro::workloads::{SortWorkload, Workload};
+
+/// A calibrated rate passes at more than this fraction of its floor.
+const FLOOR_ALLOWANCE: f64 = 0.7;
+/// Largest share of relaxed Sort wall time the rate solver may take, so
+/// an accidental O(all-flows) solve cannot hide behind the floor's
+/// allowance.
+const SOLVER_SHARE_BUDGET: f64 = 0.15;
+/// Ceiling on one disabled `Trace::record`: ~100× its measured cost,
+/// loose enough for shared runners, tight enough to catch a lock or an
+/// allocation on the disabled path.
+const DISABLED_RECORD_CEILING_NS: f64 = 100.0;
+/// Timed passes per engine measurement, after one warm-up pass.
+const ENGINE_PASSES: u32 = 10;
+
+/// The number under `key` in the repository file `file`; panics (fails
+/// the gate) naming both when it is missing or unparsable.
+fn bench_number(file: &str, key: &str) -> f64 {
+    json_number(&format!("{}/{file}", env!("CARGO_MANIFEST_DIR")), key)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn session_factor() -> f64 {
+    measured_session_factor(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_HOST.json"))
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Mean wall time of `passes` calls of `f`, in nanoseconds.
+fn mean_ns(passes: u32, mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..passes {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / f64::from(passes)
+}
+
+/// The paper's 60 GB Sort scenario: fat-tree k=8, 1:10, seed 7.
+fn sort60(relaxed: bool) -> ScenarioConfig {
+    ScenarioConfig::default()
+        .with_topology(FatTreeParams {
+            k: 8,
+            ..FatTreeParams::default()
+        })
+        .with_scheduler(SchedulerKind::Pythia)
+        .with_oversubscription(10)
+        .with_seed(7)
+        .with_relaxed_order(relaxed)
+}
+
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+#[test]
+fn engine_floors() {
+    let rows = [
+        ("sort60_fat8_pythia", false),
+        ("sort60_fat8_pythia_relaxed", true),
+    ]
+    .map(|(row, relaxed)| (row, relaxed, bench_number("BENCH_engine.json", row)));
+    let sort = SortWorkload::paper_60gb();
+    let mut misses = Vec::new();
+    for (row, relaxed, floor) in rows {
+        let cfg = sort60(relaxed);
+        // The warm-up pass; the run is deterministic, so its event count
+        // is every timed pass's.
+        let events = run_scenario(sort.job(), &cfg).events_processed;
+        let ns = mean_ns(ENGINE_PASSES, || {
+            black_box(run_scenario(sort.job(), &cfg));
+        });
+        let factor = session_factor();
+        let raw = events as f64 / (ns / 1e9);
+        let calibrated = raw * factor;
+        eprintln!(
+            "{row}: {calibrated:.0} calibrated events/sec ({events} events, {raw:.0} raw × \
+             {factor:.2}; floor {floor}, gate > {FLOOR_ALLOWANCE} × floor)"
+        );
+        if calibrated <= FLOOR_ALLOWANCE * floor {
+            misses.push(format!(
+                "{row}: {calibrated:.0} calibrated events/sec ({raw:.0} raw × {factor:.2}) \
+                 <= {FLOOR_ALLOWANCE} × BENCH_engine.json floor {floor}"
+            ));
+        }
+    }
+    assert!(misses.is_empty(), "{}", misses.join("\n"));
+}
+
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+#[test]
+fn relaxed_solver_share() {
+    // Share is drift-immune (solver time and wall move together with the
+    // host), so it is not calibrated.
+    let cfg = sort60(true).with_trace(TraceConfig::enabled());
+    let start = Instant::now();
+    let r = run_scenario(SortWorkload::paper_60gb().job(), &cfg);
+    let wall_ns = start.elapsed().as_nanos() as f64;
+    let solver_ns = r
+        .trace_stats
+        .span("net_recompute")
+        .expect("traced run records net_recompute spans")
+        .total_wall_ns as f64;
+    let share = solver_ns / wall_ns;
+    eprintln!(
+        "net_recompute: {:.1} ms of {:.1} ms wall = {:.1}% (budget <= {:.0}%)",
+        solver_ns / 1e6,
+        wall_ns / 1e6,
+        share * 100.0,
+        SOLVER_SHARE_BUDGET * 100.0
+    );
+    assert!(
+        share <= SOLVER_SHARE_BUDGET,
+        "solver share {:.1}% of relaxed sort60 wall exceeds the {:.0}% budget",
+        share * 100.0,
+        SOLVER_SHARE_BUDGET * 100.0
+    );
+}
+
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+#[test]
+fn daemon_throughput_and_tail() {
+    const PREDICTIONS: usize = 100_000;
+    let floor = bench_number("BENCH_daemon.json", "floor_predictions_per_hour");
+    let ceiling_ns = bench_number("BENCH_daemon.json", "p99_ceiling_ns");
+    let cfg = ScenarioConfig::default()
+        .with_scheduler(SchedulerKind::Pythia)
+        .with_oversubscription(10)
+        .with_seed(1);
+    let (report, elapsed) = serve_synthetic(&cfg, PREDICTIONS, 4096).expect("pythia daemon");
+    let per_hour = PREDICTIONS as f64 / elapsed.as_secs_f64() * 3600.0;
+    let p99_ns = report.p99.as_nanos() as f64;
+    eprintln!(
+        "daemon: {per_hour:.0} predictions/hour (floor {floor}), p99 {p99_ns} ns \
+         (ceiling {ceiling_ns}), installed {}, shed {}",
+        report.installed, report.stats.shed
+    );
+    assert_eq!(report.stats.shed, 0, "lossless feed shed messages");
+    assert!(report.installed > 0, "daemon installed no rules");
+    assert!(
+        per_hour > FLOOR_ALLOWANCE * floor,
+        "{per_hour:.0} predictions/hour <= {FLOOR_ALLOWANCE} × BENCH_daemon.json floor {floor}"
+    );
+    assert!(
+        p99_ns < ceiling_ns,
+        "p99 {p99_ns} ns not under the BENCH_daemon.json ceiling {ceiling_ns} ns"
+    );
+}
+
+#[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
+#[test]
+fn disabled_trace_record() {
+    const RECORDS: u64 = 1_000_000;
+    let off = Trace::off();
+    let batch = || {
+        for i in 0..RECORDS {
+            black_box(&off).record(Component::NetSim, || TraceEvent::FlowStart {
+                flow: FlowId(i),
+                src: NodeId(0),
+                dst: NodeId(1),
+                bytes: 1,
+            });
+        }
+    };
+    batch();
+    let ns = mean_ns(10, batch) / RECORDS as f64;
+    eprintln!("disabled-path record: {ns:.2} ns/call (ceiling {DISABLED_RECORD_CEILING_NS} ns)");
+    assert!(
+        ns < DISABLED_RECORD_CEILING_NS,
+        "disabled-path record took {ns:.2} ns/call, ceiling {DISABLED_RECORD_CEILING_NS} ns"
+    );
+}
