@@ -138,7 +138,8 @@ impl DaemonHandle {
 /// `queue_capacity` channel, and return its report with the wall time
 /// from the first ingest to the drained shutdown (the stream is built
 /// before the clock starts). `pythia-sim serve` prints this run; the
-/// release perf gates hold it to `BENCH_daemon.json`.
+/// release perf gates (`tests/perf_gates.rs`) hold it to a throughput
+/// floor and a p99 ceiling.
 pub fn serve_synthetic(
     cfg: &ScenarioConfig,
     predictions: usize,

@@ -42,7 +42,7 @@ impl FigureScale {
         }
     }
 
-    /// Medium configuration for Criterion benches.
+    /// Medium configuration: between the CI smoke and paper scale.
     pub fn bench() -> Self {
         FigureScale {
             input_frac: 0.1,

@@ -27,12 +27,13 @@
 //!
 //! [`calibrate`] is not an experiment but the fixed-work session
 //! calibration every throughput floor check runs alongside the real
-//! benchmark (drift context: `BENCH_HOST.json`).
+//! measurement, with the reference time and floor allowance the gates
+//! share.
 //!
 //! Each module exposes `run(&FigureScale)`; `FigureScale::default()` is
-//! paper scale, `::quick()` a CI-sized smoke, `::bench()` the Criterion
-//! size. The `run_all` binary executes everything and writes CSVs under
-//! `results/`.
+//! paper scale, `::quick()` a CI-sized smoke, `::bench()` a medium size
+//! between the two. The `run_all` binary executes everything and writes
+//! CSVs under `results/`.
 
 pub mod ablation;
 pub mod calibrate;

@@ -30,7 +30,8 @@ fn main() {
         _ => SchedulerKind::Pythia,
     };
     let (stats, events, wall, headline) = if mode == "fleet" {
-        // The BENCH_fleet.json scenario with the flight recorder on.
+        // The 1024-server fleet of `tests/fleet_smoke.rs` with the
+        // flight recorder on.
         let mut fleet = FleetSpec::poisson(1000, SimDuration::from_secs(4), 42);
         fleet.min_input_bytes = 512 << 20;
         fleet.max_input_bytes = 8u64 << 30;

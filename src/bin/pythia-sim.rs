@@ -18,8 +18,8 @@
 //! through the threaded daemon and the ingest→install throughput and
 //! latency are printed on one `daemon:` line. The release perf gates
 //! (`tests/perf_gates.rs`) run the same library call
-//! (`pythia_daemon::serve_synthetic`) and hold its report to
-//! `BENCH_daemon.json`.
+//! (`pythia_daemon::serve_synthetic`) and hold its report to their
+//! daemon floor and p99 ceiling.
 
 use std::process::exit;
 
