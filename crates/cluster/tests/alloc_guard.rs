@@ -4,7 +4,8 @@
 //! its counter:
 //!
 //! 1. **Zero steady-state allocation** in the component hot loops: a
-//!    warmed-up [`FlowNet`] advance → mutate → recompute cycle, a
+//!    warmed-up [`FlowNet`] advance → mutate → recompute cycle (exact
+//!    and relaxed-order, one solver worker), a
 //!    pre-sized NetFlow probe sampling cycle, and a warmed-up
 //!    [`EventQueue`] push → cancel → pop cycle must perform exactly zero
 //!    heap allocations.
@@ -23,7 +24,8 @@ use pythia_cluster::{run_scenario, ScenarioConfig, SchedulerKind};
 use pythia_des::{EventQueue, SimDuration, SimTime};
 use pythia_hadoop::{DurationModel, JobSpec};
 use pythia_netsim::{
-    build_multi_rack, FatTreeParams, FiveTuple, FlowNet, FlowSpec, MultiRackParams, Path,
+    build_multi_rack, FatTreeParams, FiveTuple, FlowId, FlowNet, FlowSpec, MultiRack,
+    MultiRackParams, Path,
 };
 use pythia_workloads::SkewModel;
 
@@ -56,8 +58,42 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The paper's two-rack testbed with background CBR on both trunks plus
+/// long-lived adaptive flows, so a cycle exercises the layered CBR
+/// refresh, the adaptive region solve and metered byte integration
+/// together. Returns the net (solved once) and its CBR flows.
+fn loaded_net(mr: &MultiRack, relaxed: bool) -> (FlowNet, Vec<FlowId>) {
+    let topo = &mr.topology;
+    let mut net = FlowNet::new(topo.clone());
+    net.set_relaxed_order(relaxed);
+    let mut cbrs = Vec::new();
+    for trunk in 0..2 {
+        let l = topo.find_link(mr.tors[0], mr.tors[1], trunk).unwrap();
+        let tuple = FiveTuple::udp(mr.tors[0], mr.tors[1], 9000 + trunk as u16, 9);
+        let path = Path::new(topo, vec![l]).unwrap();
+        cbrs.push(net.start_flow(FlowSpec::cbr(tuple, 1e9), path));
+    }
+    for i in 0..4u16 {
+        let s = mr.servers[i as usize];
+        let d = mr.servers[5 + i as usize];
+        let up = topo.find_link(s, mr.tors[0], 0).unwrap();
+        let tr = topo
+            .find_link(mr.tors[0], mr.tors[1], (i % 2) as usize)
+            .unwrap();
+        let down = topo.find_link(mr.tors[1], d, 0).unwrap();
+        let path = Path::new(topo, vec![up, tr, down]).unwrap();
+        // Big enough to outlive the whole measured window.
+        net.start_flow(
+            FlowSpec::tcp_transfer(FiveTuple::tcp(s, d, 40000 + i, 50060), 500_000_000_000),
+            path,
+        );
+    }
+    net.recompute();
+    (net, cbrs)
+}
+
 /// Drive one advance → mutate → recompute round on a warmed net.
-fn net_cycle(net: &mut FlowNet, cbrs: &[pythia_netsim::FlowId], round: u64) {
+fn net_cycle(net: &mut FlowNet, cbrs: &[FlowId], round: u64) {
     let t = net.now() + SimDuration::from_millis(10);
     let _completed = net.advance_to(t);
     for (i, &fid) in cbrs.iter().enumerate() {
@@ -104,48 +140,28 @@ fn job(maps: usize, reducers: usize) -> JobSpec {
 )]
 #[test]
 fn hot_loops_allocation_budget() {
-    // ---- 1a. FlowNet steady state: zero allocations. -------------------
+    // ---- 1a. FlowNet steady state: zero allocations, in both solver
+    // modes (the relaxed leg runs its component solves on the calling
+    // thread: one solver worker, the default).
     let mr = build_multi_rack(&MultiRackParams::default());
-    let topo = &mr.topology;
-    let mut net = FlowNet::new(topo.clone());
-    // Background CBR on both trunks plus long-lived adaptive flows, so a
-    // cycle exercises the layered CBR refresh, the adaptive region solve
-    // and metered byte integration together.
-    let mut cbrs = Vec::new();
-    for trunk in 0..2 {
-        let l = topo.find_link(mr.tors[0], mr.tors[1], trunk).unwrap();
-        let tuple = FiveTuple::udp(mr.tors[0], mr.tors[1], 9000 + trunk as u16, 9);
-        let path = Path::new(topo, vec![l]).unwrap();
-        cbrs.push(net.start_flow(FlowSpec::cbr(tuple, 1e9), path));
-    }
-    for i in 0..4u16 {
-        let s = mr.servers[i as usize];
-        let d = mr.servers[5 + i as usize];
-        let up = topo.find_link(s, mr.tors[0], 0).unwrap();
-        let tr = topo
-            .find_link(mr.tors[0], mr.tors[1], (i % 2) as usize)
-            .unwrap();
-        let down = topo.find_link(mr.tors[1], d, 0).unwrap();
-        let path = Path::new(topo, vec![up, tr, down]).unwrap();
-        // Big enough to outlive the whole measured window.
-        net.start_flow(
-            FlowSpec::tcp_transfer(FiveTuple::tcp(s, d, 40000 + i, 50060), 500_000_000_000),
-            path,
+    let steady = |relaxed: bool| {
+        let (mut net, cbrs) = loaded_net(&mr, relaxed);
+        for round in 0..50 {
+            net_cycle(&mut net, &cbrs, round); // warm every internal buffer
+        }
+        let before = allocs();
+        for round in 50..150 {
+            net_cycle(&mut net, &cbrs, round);
+        }
+        assert_eq!(
+            allocs() - before,
+            0,
+            "FlowNet advance/mutate/recompute cycle allocated in steady state (relaxed: {relaxed})"
         );
-    }
-    net.recompute();
-    for round in 0..50 {
-        net_cycle(&mut net, &cbrs, round); // warm every internal buffer
-    }
-    let before = allocs();
-    for round in 50..150 {
-        net_cycle(&mut net, &cbrs, round);
-    }
-    assert_eq!(
-        allocs() - before,
-        0,
-        "FlowNet advance/mutate/recompute cycle allocated in steady state"
-    );
+        (net, cbrs)
+    };
+    steady(true);
+    let (mut net, cbrs) = steady(false);
 
     // ---- 1b. NetFlow probe steady state: zero allocations. -------------
     // Pre-sized curves (the engine reserves from the scenario's fetch

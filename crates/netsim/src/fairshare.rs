@@ -15,6 +15,12 @@
 //! This is the standard fluid approximation for long-lived TCP flows
 //! sharing a datacenter fabric, and is what makes the simulator's shuffle
 //! completion times meaningful.
+//!
+//! [`max_min_fair`] is the from-scratch reference solve.
+//! [`FlowNet`](crate::FlowNet) solves only the dirty regions of its
+//! flow–link graph, in place over its incidence lists with the same
+//! per-round arithmetic, and checks itself against this function after
+//! every recompute in debug builds.
 
 /// Maximum fraction of a link's capacity that CBR (UDP) traffic may occupy.
 pub const CBR_SHARE_LIMIT: f64 = 0.995;
@@ -143,295 +149,6 @@ pub fn max_min_fair(link_capacity_bps: &[f64], flows: &[FlowPath<'_>]) -> Alloca
     }
 }
 
-/// Allocation-free progressive filling.
-///
-/// [`max_min_fair`] allocates a handful of vectors per call and re-scans
-/// every link and every unfrozen flow on every filling round, which makes
-/// it the hot spot once thousands of flows are live. `FairShareWorkspace`
-/// solves the identical problem with reusable scratch buffers and a CSR
-/// link→flow adjacency so each round costs `O(live links)` plus the size
-/// of the flows actually frozen, and steady-state recomputes allocate
-/// nothing at all.
-///
-/// Usage per solve:
-///
-/// ```ignore
-/// ws.begin(n_links);
-/// ws.set_link(l, capacity_bps, cbr_requested_bps);   // for every link
-/// ws.add_flow(local_link_ids, cbr_rate_bps);         // for every flow
-/// ws.solve();
-/// ws.rate_bps(flow_idx); ws.link_load_bps(l);
-/// ```
-///
-/// Unlike [`max_min_fair`], the caller supplies the per-link CBR demand
-/// (`cbr_requested_bps`) instead of having it re-derived from the flow
-/// list; [`FlowNet`](crate::FlowNet) maintains that aggregate
-/// incrementally across background-traffic redraws.
-///
-/// The result is equal to [`max_min_fair`] up to floating-point
-/// summation order (flows are frozen per saturated link rather than in
-/// input order); differences are a few ULPs per filling round.
-#[derive(Debug, Default)]
-pub struct FairShareWorkspace {
-    // Per-solve inputs, staged by the caller.
-    caps: Vec<f64>,
-    cbr_requested: Vec<f64>,
-    pre_load: Vec<f64>,
-    flow_off: Vec<u32>,
-    flow_links: Vec<u32>,
-    /// Requested CBR rate per flow; negative ⇒ adaptive.
-    flow_cbr: Vec<f64>,
-    /// How many staged flows are CBR; lets adaptive-only solves (the
-    /// common regional case) skip the CBR clamp pass entirely.
-    n_cbr: usize,
-    // Outputs.
-    rates: Vec<f64>,
-    link_load: Vec<f64>,
-    // Scratch.
-    scale: Vec<f64>,
-    residual: Vec<f64>,
-    count: Vec<u32>,
-    adj_off: Vec<u32>,
-    adj: Vec<u32>,
-    cursor: Vec<u32>,
-    saturated: Vec<u32>,
-    frozen: Vec<bool>,
-    /// Cached equal-split share per live link (`residual / count`),
-    /// refreshed only when freezing touches the link — the filling
-    /// rounds' min/saturation scans then run division-free.
-    share: Vec<f64>,
-}
-
-impl FairShareWorkspace {
-    /// An empty workspace; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start staging a problem over `n_links` links. Every link must then
-    /// be described via [`FairShareWorkspace::set_link`].
-    pub fn begin(&mut self, n_links: usize) {
-        self.caps.clear();
-        self.caps.resize(n_links, 0.0);
-        self.cbr_requested.clear();
-        self.cbr_requested.resize(n_links, 0.0);
-        self.pre_load.clear();
-        self.pre_load.resize(n_links, 0.0);
-        self.flow_off.clear();
-        self.flow_off.push(0);
-        self.flow_links.clear();
-        self.flow_cbr.clear();
-        self.n_cbr = 0;
-    }
-
-    /// Describe link `l` (a local index in `0..n_links`).
-    pub fn set_link(&mut self, l: usize, capacity_bps: f64, cbr_requested_bps: f64) {
-        self.caps[l] = capacity_bps;
-        self.cbr_requested[l] = cbr_requested_bps;
-    }
-
-    /// Pre-commit `load_bps` on link `l` before the solve: the committed
-    /// rate of flows solved *outside* this workspace (the layered CBR
-    /// background pass). The load seeds `link_load_bps` and shrinks the
-    /// residual available to the staged adaptive flows, exactly as if
-    /// those flows had been staged and frozen first.
-    pub fn preload_link(&mut self, l: usize, load_bps: f64) {
-        self.pre_load[l] = load_bps;
-    }
-
-    /// Add a flow crossing the given local links. Returns its index in
-    /// the staged problem (dense, in insertion order).
-    pub fn add_flow<I>(&mut self, links: I, cbr_rate_bps: Option<f64>) -> usize
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        let idx = self.flow_cbr.len();
-        self.flow_links.extend(links);
-        self.flow_off.push(self.flow_links.len() as u32);
-        self.flow_cbr.push(cbr_rate_bps.unwrap_or(-1.0));
-        if cbr_rate_bps.is_some() {
-            self.n_cbr += 1;
-        }
-        idx
-    }
-
-    /// Number of staged flows.
-    pub fn num_flows(&self) -> usize {
-        self.flow_cbr.len()
-    }
-
-    /// Rate of staged flow `flow` after [`FairShareWorkspace::solve`].
-    pub fn rate_bps(&self, flow: usize) -> f64 {
-        self.rates[flow]
-    }
-
-    /// Committed load on local link `l` after [`FairShareWorkspace::solve`].
-    pub fn link_load_bps(&self, l: usize) -> f64 {
-        self.link_load[l]
-    }
-
-    /// Run the two-pass allocation (CBR clamp, then progressive filling)
-    /// over the staged problem.
-    pub fn solve(&mut self) {
-        let FairShareWorkspace {
-            caps,
-            cbr_requested,
-            pre_load,
-            flow_off,
-            flow_links,
-            flow_cbr,
-            n_cbr,
-            rates,
-            link_load,
-            scale,
-            residual,
-            count,
-            adj_off,
-            adj,
-            cursor,
-            saturated,
-            frozen,
-            share,
-        } = self;
-        let n_links = caps.len();
-        let n_flows = flow_cbr.len();
-        let links_of = |f: usize| &flow_links[flow_off[f] as usize..flow_off[f + 1] as usize];
-
-        rates.clear();
-        rates.resize(n_flows, 0.0);
-        link_load.clear();
-        link_load.extend_from_slice(pre_load);
-
-        // --- Pass 1: CBR flows ------------------------------------------
-        // Skipped wholesale when no CBR flow is staged (every regional
-        // recompute: the layered background pass keeps CBR flows out of
-        // the adaptive region entirely).
-        if *n_cbr > 0 {
-            scale.clear();
-            for l in 0..n_links {
-                let cap = CBR_SHARE_LIMIT * caps[l];
-                let req = cbr_requested[l];
-                scale.push(if req > cap { cap / req } else { 1.0 });
-            }
-            for f in 0..n_flows {
-                let r = flow_cbr[f];
-                if r >= 0.0 {
-                    let links = &flow_links[flow_off[f] as usize..flow_off[f + 1] as usize];
-                    let k = links
-                        .iter()
-                        .map(|&l| scale[l as usize])
-                        .fold(1.0f64, f64::min);
-                    rates[f] = r * k;
-                    for &l in links {
-                        link_load[l as usize] += rates[f];
-                    }
-                }
-            }
-        }
-
-        // --- Pass 2: adaptive flows (progressive filling) ---------------
-        count.clear();
-        count.resize(n_links, 0);
-        frozen.clear();
-        frozen.resize(n_flows, false);
-        let mut n_unfrozen = 0usize;
-        for f in 0..n_flows {
-            if flow_cbr[f] < 0.0 && flow_off[f] != flow_off[f + 1] {
-                n_unfrozen += 1;
-                for &l in links_of(f) {
-                    count[l as usize] += 1;
-                }
-            } else {
-                // CBR flows and empty-path placeholders never enter the
-                // filling rounds.
-                frozen[f] = true;
-            }
-        }
-
-        // One fused pass per link: residual, the CSR link→flow adjacency
-        // offsets, and the cached equal-split share. Links carrying no
-        // unfrozen flow hold `∞` so the dense round scans below skip them
-        // without a separate liveness structure.
-        residual.clear();
-        adj_off.clear();
-        adj_off.push(0);
-        cursor.clear();
-        share.clear();
-        share.resize(n_links, f64::INFINITY);
-        for l in 0..n_links {
-            residual.push((caps[l] - link_load[l]).max(0.0));
-            let c = count[l];
-            adj_off.push(adj_off[l] + c);
-            cursor.push(adj_off[l]);
-            if c > 0 {
-                share[l] = residual[l] / c as f64;
-            }
-        }
-        adj.clear();
-        adj.resize(adj_off[n_links] as usize, 0);
-        for (f, &is_frozen) in frozen.iter().enumerate() {
-            if !is_frozen {
-                for &l in links_of(f) {
-                    let c = &mut cursor[l as usize];
-                    adj[*c as usize] = f as u32;
-                    *c += 1;
-                }
-            }
-        }
-
-        while n_unfrozen > 0 {
-            // Bottleneck share over links that still carry unfrozen flows.
-            // Shares are cached and refreshed at freeze time (identical
-            // `residual / count` inputs, so identical values; `∞` once the
-            // link has no unfrozen flow left), so both scans are dense,
-            // branch-free sweeps the compiler vectorizes.
-            let mut min_share = f64::INFINITY;
-            for &s in share.iter() {
-                min_share = min_share.min(s);
-            }
-            debug_assert!(min_share.is_finite());
-            // Same tie tolerance as the reference implementation.
-            let eps = min_share * 1e-9 + 1e-6;
-            let cutoff = min_share + eps;
-            saturated.clear();
-            for (l, &s) in share.iter().enumerate() {
-                if s <= cutoff {
-                    saturated.push(l as u32);
-                }
-            }
-            // Freeze every flow crossing a saturated link, walking the
-            // adjacency of those links only.
-            let mut froze_any = false;
-            for &l in saturated.iter() {
-                for ai in adj_off[l as usize]..adj_off[l as usize + 1] {
-                    let f = adj[ai as usize] as usize;
-                    if frozen[f] {
-                        continue;
-                    }
-                    frozen[f] = true;
-                    froze_any = true;
-                    n_unfrozen -= 1;
-                    rates[f] = min_share;
-                    for &l2 in &flow_links[flow_off[f] as usize..flow_off[f + 1] as usize] {
-                        let l2 = l2 as usize;
-                        residual[l2] = (residual[l2] - min_share).max(0.0);
-                        count[l2] -= 1;
-                        link_load[l2] += min_share;
-                        share[l2] = if count[l2] > 0 {
-                            residual[l2] / count[l2] as f64
-                        } else {
-                            f64::INFINITY
-                        };
-                    }
-                }
-            }
-            // Progress guarantee: min_share came from a live link, and all
-            // of that link's flows freeze when it saturates.
-            assert!(froze_any, "progressive filling failed to make progress");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,118 +253,6 @@ mod tests {
         let a = max_min_fair(&[10.0], &[]);
         assert!(a.rates_bps.is_empty());
         assert_eq!(a.link_load_bps, vec![0.0]);
-    }
-
-    /// Run the same problem through the reference and the workspace and
-    /// require agreement to a tight relative tolerance.
-    fn assert_ws_matches_reference(caps: &[f64], flows: &[FlowPath<'_>]) {
-        let reference = max_min_fair(caps, flows);
-        let mut ws = FairShareWorkspace::new();
-        ws.begin(caps.len());
-        let mut cbr_requested = vec![0.0f64; caps.len()];
-        for f in flows {
-            if let Some(r) = f.cbr_rate_bps {
-                for &l in f.links {
-                    cbr_requested[l] += r;
-                }
-            }
-        }
-        for (l, &cap) in caps.iter().enumerate() {
-            ws.set_link(l, cap, cbr_requested[l]);
-        }
-        for f in flows {
-            ws.add_flow(f.links.iter().map(|&l| l as u32), f.cbr_rate_bps);
-        }
-        ws.solve();
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
-        for (i, &want) in reference.rates_bps.iter().enumerate() {
-            let got = ws.rate_bps(i);
-            assert!(close(got, want), "flow {i}: ws {got} vs reference {want}");
-        }
-        for (l, &want) in reference.link_load_bps.iter().enumerate() {
-            let got = ws.link_load_bps(l);
-            assert!(close(got, want), "link {l}: ws {got} vs reference {want}");
-        }
-    }
-
-    #[test]
-    fn workspace_matches_reference_on_pinned_cases() {
-        let p0 = [0usize];
-        let p1 = [0usize, 1];
-        let p2 = [1usize];
-        assert_ws_matches_reference(
-            &[10.0, 100.0],
-            &[adaptive(&p0), adaptive(&p1), adaptive(&p2)],
-        );
-        assert_ws_matches_reference(&[100.0], &[cbr(&p0, 60.0), adaptive(&p0), adaptive(&p0)]);
-        assert_ws_matches_reference(&[100.0], &[cbr(&p0, 500.0), adaptive(&p0)]);
-        let caps = [10.0, 2.0];
-        let p_a = [0usize, 1];
-        let p_b = [0usize];
-        let p_c = [1usize];
-        assert_ws_matches_reference(&caps, &[adaptive(&p_a), adaptive(&p_b), adaptive(&p_c)]);
-        // Empty-path placeholder flows and zero-capacity links.
-        let empty: [usize; 0] = [];
-        assert_ws_matches_reference(
-            &[0.0, 50.0],
-            &[adaptive(&empty), adaptive(&p2), cbr(&p0, 5.0)],
-        );
-    }
-
-    #[test]
-    fn workspace_matches_reference_on_random_meshes() {
-        // Small deterministic LCG; no external RNG needed here.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        for _ in 0..50 {
-            let n_links = 2 + next() % 8;
-            let caps: Vec<f64> = (0..n_links).map(|_| (1 + next() % 1000) as f64).collect();
-            let n_flows = 1 + next() % 12;
-            let paths: Vec<Vec<usize>> = (0..n_flows)
-                .map(|_| {
-                    let len = 1 + next() % 3.min(n_links);
-                    let mut links: Vec<usize> = Vec::new();
-                    while links.len() < len {
-                        let l = next() % n_links;
-                        if !links.contains(&l) {
-                            links.push(l);
-                        }
-                    }
-                    links
-                })
-                .collect();
-            let flows: Vec<FlowPath<'_>> = paths
-                .iter()
-                .enumerate()
-                .map(|(i, p)| FlowPath {
-                    links: p,
-                    cbr_rate_bps: (i % 3 == 0).then(|| (1 + next() % 500) as f64),
-                })
-                .collect();
-            assert_ws_matches_reference(&caps, &flows);
-        }
-    }
-
-    #[test]
-    fn workspace_is_reusable_across_solves() {
-        let mut ws = FairShareWorkspace::new();
-        for round in 0..3 {
-            ws.begin(1);
-            ws.set_link(0, 100.0, 0.0);
-            for _ in 0..(round + 2) {
-                ws.add_flow([0u32], None);
-            }
-            ws.solve();
-            let want = 100.0 / (round + 2) as f64;
-            for f in 0..ws.num_flows() {
-                assert!((ws.rate_bps(f) - want).abs() < 1e-6);
-            }
-        }
     }
 
     #[test]

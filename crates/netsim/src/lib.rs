@@ -52,7 +52,7 @@ pub mod routing;
 pub mod topology;
 
 pub use background::{background_flows, redraw_group_rates, BackgroundProfile, OverSubscription};
-pub use fairshare::{max_min_fair, Allocation, FairShareWorkspace, FlowPath, CBR_SHARE_LIMIT};
+pub use fairshare::{max_min_fair, Allocation, FlowPath, CBR_SHARE_LIMIT};
 pub use flow::{FiveTuple, FlowId, FlowKind, FlowSpec, Protocol};
 pub use net::{ActiveFlow, FlowNet, FlowReport};
 pub use probe::{CumulativeCurve, NetFlowProbe};
