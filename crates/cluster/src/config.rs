@@ -107,17 +107,11 @@ pub struct ScenarioConfig {
     /// byte-identical to it. Off by default: the exact solver.
     pub relaxed_order: bool,
     /// Worker threads for component-parallel solves (relaxed mode only).
-    /// 0 = auto (available parallelism, capped at 8). Any fixed value
-    /// gives bitwise run-to-run reproducible results; auto is
-    /// reproducible per machine.
+    /// 0 = auto (available parallelism, capped at 8). Results do not
+    /// depend on the worker count, so auto reproduces across machines:
+    /// `tests/relaxed_tolerance.rs` pins one fingerprint for 1, 2 and 4
+    /// workers.
     pub solver_workers: usize,
-    /// Stream jobs through the engine (fleet mode): job state is
-    /// materialized at its `JobStart` event and retired — heavy Hadoop
-    /// simulation state dropped, the timeline kept for reporting — at
-    /// completion, so a long arrival trace holds memory proportional to
-    /// *concurrent* jobs, not total jobs. Off (the default) preserves the
-    /// historical construct-everything-up-front behaviour byte-for-byte.
-    pub stream_jobs: bool,
     /// Shard the Pythia collector/allocator per pod: predictions from a
     /// server aggregate in its pod's shard (pod-local state, no
     /// fleet-wide scans per prediction). `1` (the default) is exactly the
@@ -171,7 +165,6 @@ impl Default for ScenarioConfig {
             max_events: 50_000_000,
             relaxed_order: false,
             solver_workers: 0,
-            stream_jobs: false,
             collector_shards: 1,
             install_epoch: None,
         }
@@ -185,10 +178,10 @@ impl ScenarioConfig {
         self
     }
 
-    /// Stream jobs through the engine (fleet mode): lazy materialization
-    /// at `JobStart`, retirement at completion.
-    pub fn with_stream_jobs(mut self, on: bool) -> Self {
-        self.stream_jobs = on;
+    /// Does nothing: every job is built at its `JobStart` and retired at
+    /// completion, so there is no other mode to select.
+    #[deprecated(note = "jobs always stream; drop the call")]
+    pub fn with_stream_jobs(self, _on: bool) -> Self {
         self
     }
 

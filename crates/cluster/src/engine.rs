@@ -42,7 +42,7 @@ use pythia_trace::{Component, Trace, TraceEvent};
 use crate::config::{ScenarioConfig, SchedulerKind};
 use crate::report::{JobOutcome, MultiRunReport, RunReport};
 use crate::service::{self, ControlMsg, SYSTEM_TENANT};
-use crate::snapshot::{config_hash, CheckpointPolicy};
+use crate::snapshot::{config_hash, config_hashes_with_stream_jobs, CheckpointPolicy};
 
 /// Engine events.
 #[derive(Debug)]
@@ -465,7 +465,9 @@ pub fn resume_multi_scenario(
 ) -> Result<MultiRunReport, SnapshotError> {
     let (manifest, bytes) = load_checkpoint(dir)?;
     let found = config_hash(cfg);
-    if manifest.config_hash != found {
+    if manifest.config_hash != found
+        && !config_hashes_with_stream_jobs(cfg).contains(&manifest.config_hash)
+    {
         return Err(SnapshotError::ConfigMismatch {
             expected: manifest.config_hash,
             found,
@@ -670,32 +672,64 @@ fn install_background_flows(
     }
 }
 
-/// One job being driven by the engine.
-///
-/// In the classic (non-streaming) mode `sim` is constructed eagerly at
-/// engine build and lives for the whole run. With
-/// [`ScenarioConfig::stream_jobs`] the slot is a small state machine:
-/// the spec waits in `spec` until the `JobStart` event materializes the
-/// simulator (deterministically — the per-job RNG seed depends only on
-/// the scenario seed and the job index), and job completion retires the
-/// simulator again, keeping only the timeline for the final report. A
-/// day-long arrival trace then holds Hadoop state for the jobs currently
-/// *running*, not for every job that ever ran.
+/// One job being driven by the engine: its name, its arrival and where
+/// it is in its life.
 struct JobSlot {
-    /// Deferred spec (streaming mode, before `JobStart`).
-    spec: Option<pythia_hadoop::JobSpec>,
-    /// The live simulator (always present in eager mode; present between
-    /// materialization and retirement in streaming mode).
-    sim: Option<MapReduceSim>,
-    /// Timeline kept after a streamed job retires its simulator.
-    timeline: Option<pythia_hadoop::Timeline>,
     name: String,
     start_at: SimTime,
-    started: bool,
-    /// Set when the job's `JobCompleted` event was processed; drives the
-    /// O(1) `jobs_remaining` counter that replaced the fleet-wide
-    /// `all_done` scan.
-    done: bool,
+    state: JobState,
+}
+
+/// A job's lifecycle. The simulator is built at the job's `JobStart`
+/// event and dropped at its completion, so a day-long arrival trace
+/// holds Hadoop state for the jobs currently *running*, not for every
+/// job that ever ran.
+enum JobState {
+    /// Waiting for its `JobStart`: only the spec is held.
+    Pending(pythia_hadoop::JobSpec),
+    /// Between `JobStart` and completion: the live simulator (boxed, as
+    /// it is four times the size of a spec).
+    Running(Box<MapReduceSim>),
+    /// Completed: the timeline, kept for the final report.
+    Done(pythia_hadoop::Timeline),
+}
+
+impl JobSlot {
+    /// Build the simulator of a pending job and return it (a running
+    /// job's is returned as it is). Job `index`'s RNG seed depends only
+    /// on the scenario seed and the index, so the simulator is the same
+    /// whenever it is built: at arrival, or on restoring a checkpoint.
+    fn materialize(
+        &mut self,
+        cfg: &ScenarioConfig,
+        index: usize,
+        servers: &[ServerId],
+    ) -> &mut MapReduceSim {
+        let placeholder = JobState::Done(pythia_hadoop::Timeline::default());
+        self.state = match std::mem::replace(&mut self.state, placeholder) {
+            JobState::Pending(spec) => JobState::Running(Box::new(MapReduceSim::new(
+                cfg.hadoop.clone(),
+                spec,
+                servers.to_vec(),
+                &RngFactory::new(pythia_des::splitmix64(cfg.seed ^ (index as u64) << 17)),
+            ))),
+            other => other,
+        };
+        match &mut self.state {
+            JobState::Running(sim) => sim,
+            _ => panic!("job `{}` started after it completed", self.name),
+        }
+    }
+
+    /// Drop a running job's simulator and keep its timeline. Returns
+    /// whether the slot was running.
+    fn retire(&mut self) -> bool {
+        let JobState::Running(sim) = &mut self.state else {
+            return false;
+        };
+        self.state = JobState::Done(std::mem::take(&mut sim.timeline));
+        true
+    }
 }
 
 /// A rule install parked in the per-pod epoch buffer (epoch-batched
@@ -738,7 +772,7 @@ struct Engine<'a> {
     /// after every event, so it must be O(1) — a fleet run cannot afford
     /// the former O(jobs) `is_done` scan per event.
     jobs_remaining: usize,
-    /// Hadoop server ids (0..n), kept for streaming-mode materialization.
+    /// Hadoop server ids (0..n), kept for job materialization.
     server_ids: Vec<ServerId>,
     /// Pod (fat-tree) or rack (leaf fabrics) of every node; `u32::MAX`
     /// for core switches, which belong to no pod. Drives collector
@@ -892,13 +926,6 @@ impl<'a> Engine<'a> {
 
         let flight = Trace::new(&cfg.trace);
         let dataplane = Dataplane::new(&mr.topology, cfg.tcam_capacity);
-        let mut controller = Controller::with_clos(
-            mr.topology.clone(),
-            mr.clos.clone(),
-            cfg.controller.clone(),
-            &rngs,
-        );
-        controller.set_trace(flight.clone());
         let nexthops = EcmpNextHops::compute(&mr.topology);
         let ecmp = EcmpForwarding::new(pythia_des::splitmix64(cfg.seed ^ 0xec3b));
 
@@ -911,65 +938,19 @@ impl<'a> Engine<'a> {
             .sum();
         let jobs: Vec<JobSlot> = job_specs
             .into_iter()
-            .enumerate()
-            .map(|(i, (spec, offset))| {
-                let name = spec.name.clone();
-                // Streaming mode defers construction to the JobStart
-                // event; the per-job RNG seed depends only on (scenario
-                // seed, job index), so the deferred build is bit-identical
-                // to the eager one.
-                let (spec, sim) = if cfg.stream_jobs {
-                    (Some(spec), None)
-                } else {
-                    (
-                        None,
-                        Some(MapReduceSim::new(
-                            cfg.hadoop.clone(),
-                            spec,
-                            servers.clone(),
-                            &RngFactory::new(pythia_des::splitmix64(cfg.seed ^ (i as u64) << 17)),
-                        )),
-                    )
-                };
-                JobSlot {
-                    spec,
-                    sim,
-                    timeline: None,
-                    name,
-                    start_at: SimTime::ZERO + offset,
-                    started: false,
-                    done: false,
-                }
+            .map(|(spec, offset)| JobSlot {
+                name: spec.name.clone(),
+                start_at: SimTime::ZERO + offset,
+                state: JobState::Pending(spec),
             })
             .collect();
         let jobs_remaining = jobs.len();
 
-        // Pod (or rack) of every node: the locality domain collector
-        // sharding and per-pod install batching key on. Shared with the
-        // daemon's service core — both sides must agree byte for byte.
-        let pod_of_node = service::pod_of_nodes(&mr);
-        let pod_of_server: Vec<u32> = mr
-            .servers
-            .iter()
-            .map(|&n| pod_of_node[n.0 as usize])
-            .collect();
-
-        let pythia = match cfg.scheduler {
-            SchedulerKind::Pythia => {
-                let mut py = PythiaSystem::new(
-                    cfg.pythia.clone(),
-                    &mr.topology,
-                    mr.servers.clone(),
-                    pod_of_server,
-                    cfg.collector_shards,
-                );
-                py.set_trace(flight.clone());
-                // Seed the residual table with the static CBR background.
-                py.set_background_from(&background_bps);
-                Some(py)
-            }
-            _ => None,
-        };
+        let service::ControlPlane {
+            controller,
+            pythia,
+            pod_of_node,
+        } = service::control_plane(cfg, &mr, &background_bps, &flight);
         let mgmt = match cfg.scheduler {
             SchedulerKind::Pythia => Some(MgmtNet::new(
                 cfg.pythia.mgmtnet.clone(),
@@ -1058,14 +1039,14 @@ impl<'a> Engine<'a> {
         self.jobs_remaining == 0
     }
 
-    /// The live simulator of job `j`. Panics if the job has not been
-    /// materialized yet or already retired — the per-job events the
-    /// engine dispatches only exist while the simulator does.
+    /// The live simulator of job `j`. Panics if the job is not running —
+    /// the per-job events the engine dispatches only exist while the
+    /// simulator does.
     fn sim_mut(&mut self, j: JobId) -> &mut MapReduceSim {
-        self.jobs[j.0 as usize]
-            .sim
-            .as_mut()
-            .expect("event for a job with no live simulator")
+        match &mut self.jobs[j.0 as usize].state {
+            JobState::Running(sim) => sim,
+            _ => panic!("event for a job with no live simulator"),
+        }
     }
 
     fn node_of(&self, s: ServerId) -> NodeId {
@@ -1208,24 +1189,10 @@ impl<'a> Engine<'a> {
             let span = self.flight.span(event_span_name(&ev));
             match ev {
                 Event::JobStart(j) => {
-                    let slot = &mut self.jobs[j.0 as usize];
-                    debug_assert!(!slot.started);
-                    slot.started = true;
-                    // Streaming mode: the job enters the loop here — the
-                    // simulator is built on arrival, not at engine
-                    // construction, with the same (seed, index) RNG.
-                    if let Some(spec) = slot.spec.take() {
-                        slot.sim = Some(MapReduceSim::new(
-                            self.cfg.hadoop.clone(),
-                            spec,
-                            self.server_ids.clone(),
-                            &RngFactory::new(pythia_des::splitmix64(
-                                self.cfg.seed ^ (j.0 as u64) << 17,
-                            )),
-                        ));
-                    }
                     let mut evts = std::mem::take(&mut self.hadoop_scratch);
-                    self.sim_mut(j).start_into(now, &mut evts);
+                    self.jobs[j.0 as usize]
+                        .materialize(self.cfg, j.0 as usize, &self.server_ids)
+                        .start_into(now, &mut evts);
                     self.apply_hadoop_events(now, j, &mut evts);
                     self.hadoop_scratch = evts;
                 }
@@ -1388,19 +1355,24 @@ impl<'a> Engine<'a> {
             for j in &self.jobs {
                 j.name.put(s);
                 j.start_at.put(s);
-                j.started.put(s);
-                // Slot state tag: 0 = pending (streaming, not started),
-                // 1 = live simulator, 2 = retired (timeline only).
-                match (&j.sim, &j.timeline) {
-                    (Some(sim), _) => {
+                // Started byte, then the state tag: 0 = pending,
+                // 1 = running (simulator state follows), 2 = done
+                // (timeline follows).
+                match &j.state {
+                    JobState::Pending(_) => {
+                        false.put(s);
+                        0u8.put(s);
+                    }
+                    JobState::Running(sim) => {
+                        true.put(s);
                         1u8.put(s);
                         sim.put_state(s);
                     }
-                    (None, Some(tl)) => {
+                    JobState::Done(tl) => {
+                        true.put(s);
                         2u8.put(s);
                         tl.put(s);
                     }
-                    (None, None) => 0u8.put(s),
                 }
             }
         });
@@ -1700,9 +1672,6 @@ impl<'a> Engine<'a> {
         if n != n_jobs {
             return Err(s.malformed(format!("snapshot has {n} jobs, scenario has {n_jobs}")));
         }
-        let cfg_hadoop = self.cfg.hadoop.clone();
-        let cfg_seed = self.cfg.seed;
-        let server_ids = self.server_ids.clone();
         for (i, slot) in self.jobs.iter_mut().enumerate() {
             let name = String::get(&mut s)?;
             if name != slot.name {
@@ -1721,54 +1690,41 @@ impl<'a> Engine<'a> {
                     ),
                 });
             }
-            slot.started = bool::get(&mut s)?;
-            match u8::get(&mut s)? {
-                // Pending (streaming): the fresh slot already holds the
-                // spec; nothing was serialized.
-                0 => {
-                    if slot.spec.is_none() && slot.sim.is_none() {
-                        return Err(s.malformed(format!(
-                            "job `{name}` is pending in the snapshot but the scenario \
-                             does not stream jobs"
-                        )));
-                    }
-                    slot.done = false;
-                }
-                // Live simulator. A streaming-mode fresh engine has not
-                // materialized it yet: build it exactly as JobStart would
-                // (same seed derivation), then overlay the state.
-                1 => {
-                    if slot.sim.is_none() {
-                        let spec = slot
-                            .spec
-                            .take()
-                            .ok_or_else(|| s.malformed(format!("job `{name}` restored twice")))?;
-                        slot.sim = Some(MapReduceSim::new(
-                            cfg_hadoop.clone(),
-                            spec,
-                            server_ids.clone(),
-                            &RngFactory::new(pythia_des::splitmix64(cfg_seed ^ (i as u64) << 17)),
-                        ));
-                    }
-                    let sim = slot.sim.as_mut().expect("just materialized");
+            let started = bool::get(&mut s)?;
+            // The fresh slot is pending and holds the spec.
+            match (u8::get(&mut s)?, started) {
+                (0, false) => {}
+                // Build the simulator exactly as `JobStart` would, then
+                // overlay the state. Checkpoints that built every job up
+                // front hold jobs not yet started as running records with
+                // the started byte clear; their `JobStart` is still queued
+                // and starts the restored simulator.
+                (1, _) => {
+                    let sim = slot.materialize(self.cfg, i, &self.server_ids);
                     sim.restore_state(&mut s)?;
-                    slot.done = sim.is_done();
-                    slot.timeline = None;
+                    // Those checkpoints also kept the simulator of a
+                    // completed job.
+                    if sim.is_done() {
+                        slot.retire();
+                    }
                 }
-                // Retired (streaming): only the timeline survives.
-                2 => {
-                    slot.spec = None;
-                    slot.sim = None;
-                    slot.timeline = Some(pythia_hadoop::Timeline::get(&mut s)?);
-                    slot.done = true;
+                (2, true) => slot.state = JobState::Done(pythia_hadoop::Timeline::get(&mut s)?),
+                (t @ (0 | 2), _) => {
+                    return Err(s.malformed(format!(
+                        "job `{name}` has started byte {started} but state tag {t}"
+                    )));
                 }
-                t => {
+                (t, _) => {
                     return Err(s.malformed(format!("unknown job-slot state tag {t}")));
                 }
             }
         }
         s.finish()?;
-        self.jobs_remaining = self.jobs.iter().filter(|j| !j.done).count();
+        self.jobs_remaining = self
+            .jobs
+            .iter()
+            .filter(|j| !matches!(j.state, JobState::Done(_)))
+            .count();
 
         if let Some(mut py) = self.pythia.take() {
             let mut s = rd.section("pythia")?;
@@ -2126,17 +2082,10 @@ impl<'a> Engine<'a> {
                     self.queue.push(at, Event::ReducerFinish(job, reducer));
                 }
                 HadoopEvent::JobCompleted { .. } => {
-                    let slot = &mut self.jobs[job.0 as usize];
-                    if !slot.done {
-                        slot.done = true;
+                    // The job leaves the loop: drop its simulator, keep
+                    // the timeline for the report.
+                    if self.jobs[job.0 as usize].retire() {
                         self.jobs_remaining -= 1;
-                        // Streaming mode: the job leaves the loop — drop
-                        // its simulator, keep the timeline for the report.
-                        if self.cfg.stream_jobs {
-                            if let Some(sim) = slot.sim.take() {
-                                slot.timeline = Some(sim.timeline);
-                            }
-                        }
                     }
                 }
             }
@@ -2597,10 +2546,10 @@ impl<'a> Engine<'a> {
         for i in 0..self.jobs.len() {
             let job = JobId(i as u32);
             let mut evts = std::mem::take(&mut self.hadoop_scratch);
-            // Streamed jobs that have not started (no spill indices on
-            // disk yet) or already retired (their reducers are done; a
-            // replay would be deduped anyway) have no simulator to replay.
-            let Some(sim) = self.jobs[i].sim.as_mut() else {
+            // Jobs that have not started (no spill indices on disk yet)
+            // or are done (their reducers are done; a replay would be
+            // deduped anyway) have no simulator to replay.
+            let JobState::Running(sim) = &mut self.jobs[i].state else {
                 self.hadoop_scratch = evts;
                 continue;
             };
@@ -2881,14 +2830,11 @@ impl<'a> Engine<'a> {
                 job: JobId(i as u32),
                 name: j.name.clone(),
                 started_at: j.start_at,
-                // Live slots report straight from the simulator; retired
-                // (streamed) slots kept their timeline at retirement.
-                timeline: j
-                    .sim
-                    .as_ref()
-                    .map(|s| s.timeline.clone())
-                    .or_else(|| j.timeline.clone())
-                    .expect("report built before job materialized"),
+                timeline: match &j.state {
+                    JobState::Running(sim) => sim.timeline.clone(),
+                    JobState::Done(tl) => tl.clone(),
+                    JobState::Pending(_) => panic!("report built before job `{}` started", j.name),
+                },
             })
             .collect();
         let tenant_usage: Vec<pythia_metrics::TenantUsage> = jobs

@@ -14,9 +14,9 @@
 //! exactly how the daemon-vs-batch equivalence test works.
 //!
 //! [`ServiceCore`] bundles the state the dispatcher needs (sharded
-//! collector, SDN controller, pod map, background residuals) and knows
-//! how to build it from a [`ScenarioConfig`] *identically* to
-//! `Engine::new`, so a daemon fed the tapped prediction stream of a
+//! collector, SDN controller, pod map, background residuals). It and
+//! `Engine::new` build that state through one constructor,
+//! `control_plane`, so a daemon fed the tapped prediction stream of a
 //! batch run reproduces its rule stream byte for byte.
 //!
 //! [`InstallBackend`]: ../../pythia_daemon/backend/trait.InstallBackend.html
@@ -253,9 +253,8 @@ impl std::error::Error for ServiceError {}
 
 /// Pod (fat-tree) or rack (leaf fabrics) of every node; `u32::MAX` for
 /// core switches, which belong to no pod. This drives collector sharding
-/// and per-pod install batching — the engine and the daemon must agree
-/// on it byte for byte.
-pub fn pod_of_nodes(mr: &MultiRack) -> Vec<u32> {
+/// and per-pod install batching.
+fn pod_of_nodes(mr: &MultiRack) -> Vec<u32> {
     let mut pod_of_node = vec![u32::MAX; mr.topology.num_nodes()];
     if let Some(clos) = &mr.clos {
         for &srv in &mr.servers {
@@ -303,16 +302,67 @@ pub fn static_background_bps(mr: &MultiRack, cfg: &ScenarioConfig) -> Vec<f64> {
     background_bps
 }
 
+/// A scenario's control plane as [`control_plane`] builds it.
+pub(crate) struct ControlPlane {
+    pub(crate) controller: Controller,
+    /// The collector + allocator; `None` unless the scheduler is Pythia.
+    pub(crate) pythia: Option<PythiaSystem>,
+    pub(crate) pod_of_node: Vec<u32>,
+}
+
+/// Build the SDN controller and, under the Pythia scheduler, the
+/// pod-sharded collector + allocator for `cfg` on fabric `mr`. Both
+/// report into `trace`, and the allocator's residual table starts from
+/// `background_bps`, the static CBR background per link. The engine and
+/// [`ServiceCore`] both build their control plane here.
+pub(crate) fn control_plane(
+    cfg: &ScenarioConfig,
+    mr: &MultiRack,
+    background_bps: &[f64],
+    trace: &Trace,
+) -> ControlPlane {
+    let mut controller = Controller::with_clos(
+        mr.topology.clone(),
+        mr.clos.clone(),
+        cfg.controller.clone(),
+        &RngFactory::new(cfg.seed),
+    );
+    controller.set_trace(trace.clone());
+    let pod_of_node = pod_of_nodes(mr);
+    let pythia = (cfg.scheduler == SchedulerKind::Pythia).then(|| {
+        let pod_of_server = mr
+            .servers
+            .iter()
+            .map(|&n| pod_of_node[n.0 as usize])
+            .collect();
+        let mut py = PythiaSystem::new(
+            cfg.pythia.clone(),
+            &mr.topology,
+            mr.servers.clone(),
+            pod_of_server,
+            cfg.collector_shards,
+        );
+        py.set_trace(trace.clone());
+        py.set_background_from(background_bps);
+        py
+    });
+    ControlPlane {
+        controller,
+        pythia,
+        pod_of_node,
+    }
+}
+
 /// The state [`dispatch_control`] mutates, bundled with the fabric
-/// context needed to build it — the daemon's heart, constructed
-/// *identically* to the corresponding pieces of `Engine::new` so a
-/// replayed message stream evolves the same bytes.
+/// context needed to build it — the daemon's heart, built by
+/// `control_plane` exactly as the engine builds its own, so a replayed
+/// message stream evolves the same bytes.
 pub struct ServiceCore {
     /// The pod-sharded collector + allocator.
     pub pythia: PythiaSystem,
     /// The SDN controller (path candidates, rule issue, install latency).
     pub controller: Controller,
-    /// Pod of every node (see [`pod_of_nodes`]).
+    /// Pod (fat-tree) or rack of every node; `u32::MAX` for core switches.
     pub pod_of_node: Vec<u32>,
     /// The built fabric (topology, servers, trunk links, Clos structure).
     pub mr: MultiRack,
@@ -324,36 +374,18 @@ impl ServiceCore {
     /// Build the service core for a scenario. [`ServiceError::NotPythia`]
     /// unless the configuration runs the Pythia scheduler.
     pub fn from_config(cfg: &ScenarioConfig) -> Result<ServiceCore, ServiceError> {
-        if cfg.scheduler != SchedulerKind::Pythia {
+        let mr = cfg.topology.build();
+        let trace = Trace::new(&cfg.trace);
+        let ControlPlane {
+            controller,
+            pythia: Some(pythia),
+            pod_of_node,
+        } = control_plane(cfg, &mr, &static_background_bps(&mr, cfg), &trace)
+        else {
             return Err(ServiceError::NotPythia {
                 scheduler: cfg.scheduler.label(),
             });
-        }
-        let mr = cfg.topology.build();
-        let rngs = RngFactory::new(cfg.seed);
-        let trace = Trace::new(&cfg.trace);
-        let mut controller = Controller::with_clos(
-            mr.topology.clone(),
-            mr.clos.clone(),
-            cfg.controller.clone(),
-            &rngs,
-        );
-        controller.set_trace(trace.clone());
-        let pod_of_node = pod_of_nodes(&mr);
-        let pod_of_server: Vec<u32> = mr
-            .servers
-            .iter()
-            .map(|&n| pod_of_node[n.0 as usize])
-            .collect();
-        let mut pythia = PythiaSystem::new(
-            cfg.pythia.clone(),
-            &mr.topology,
-            mr.servers.clone(),
-            pod_of_server,
-            cfg.collector_shards,
-        );
-        pythia.set_trace(trace.clone());
-        pythia.set_background_from(&static_background_bps(&mr, cfg));
+        };
         Ok(ServiceCore {
             pythia,
             controller,

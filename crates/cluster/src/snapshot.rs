@@ -88,6 +88,22 @@ pub fn config_hash(cfg: &ScenarioConfig) -> u64 {
     pythia_des::fnv1a64(format!("{cfg:?}").as_bytes())
 }
 
+/// The [`config_hash`]es that checkpoints written while
+/// [`ScenarioConfig`] still had its `stream_jobs` field carry for `cfg`:
+/// the field sat between `solver_workers` and `collector_shards` in the
+/// `Debug` string. Both of its settings resume identically now, so
+/// [`crate::resume_multi_scenario`] accepts a manifest with either hash.
+pub(crate) fn config_hashes_with_stream_jobs(cfg: &ScenarioConfig) -> [u64; 2] {
+    let now = format!("{cfg:?}");
+    let at = now
+        .rfind(", collector_shards: ")
+        .expect("ScenarioConfig's Debug names collector_shards");
+    [false, true].map(|on| {
+        let then = format!("{}, stream_jobs: {on}{}", &now[..at], &now[at..]);
+        pythia_des::fnv1a64(then.as_bytes())
+    })
+}
+
 /// [`config_hash`] with the chaos schedule (link faults, controller
 /// outages, agent respills) cleared — what a *fork* must agree on: the
 /// warm-up the snapshot captured is shared, only the chaos injected after
@@ -111,6 +127,16 @@ mod tests {
         assert_eq!(config_hash(&a), config_hash(&b));
         let c = ScenarioConfig::default().with_seed(99);
         assert_ne!(config_hash(&a), config_hash(&c));
+    }
+
+    #[test]
+    fn checkpoints_from_before_stream_jobs_removal_still_match() {
+        // What `config_hash` gave the default configuration while it
+        // still had `stream_jobs: false` and `stream_jobs: true`.
+        assert_eq!(
+            config_hashes_with_stream_jobs(&ScenarioConfig::default()),
+            [0xbe98_7ec8_2611_a33d, 0xc3e4_3654_38b3_45de]
+        );
     }
 
     #[test]

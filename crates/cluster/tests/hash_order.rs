@@ -31,7 +31,6 @@ fn fleet_cfg() -> ScenarioConfig {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
         .with_seed(4242)
-        .with_stream_jobs(true)
         .with_collector_shards(4)
         .with_relaxed_order(false);
     cfg.background = BackgroundProfile::Fluctuating {

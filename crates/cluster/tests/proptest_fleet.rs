@@ -55,7 +55,6 @@ fn cfg_of(s: &FleetScn) -> ScenarioConfig {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
         .with_seed(s.seed)
-        .with_stream_jobs(true)
         .with_collector_shards(s.shards)
         // Exact solver: every comparison below is equality, not tolerance.
         .with_relaxed_order(false);

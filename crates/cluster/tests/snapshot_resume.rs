@@ -15,6 +15,7 @@ use pythia_cluster::{
 use pythia_core::MgmtNetConfig;
 use pythia_des::SimDuration;
 use pythia_hadoop::{DurationModel, JobSpec};
+use pythia_snapshot::crc32;
 use pythia_workloads::SkewModel;
 
 const MB: u64 = 1_000_000;
@@ -186,6 +187,48 @@ fn corrupt_snapshots_fail_typed_never_panic() {
         bad[pos] ^= 1 << (pos % 8);
         let r = resume_multi_from_bytes(jobs(8, 4), &cfg, &bad);
         assert!(r.is_err(), "bit flip at byte {pos} was accepted");
+    }
+
+    // A job that has not arrived yet is recorded as pending: started
+    // byte 0, state tag 0. A record that claims it started, behind a
+    // valid section checksum, is refused: its queued `JobStart` would
+    // meet a job that is already running.
+    let late = || vec![(job(8, 4), SimDuration::from_secs(30))];
+    let pending = capture_multi_snapshot(late(), &cfg, 1).expect("capture");
+    assert!(resume_multi_from_bytes(late(), &cfg, &pending).is_ok());
+    let started = rewrite_section(&pending, "jobs", |body| {
+        // u64 job count, then the job's u64-length-prefixed name and its
+        // u64 start time.
+        let name_len = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
+        let at = 16 + name_len + 8;
+        assert_eq!(body[at..at + 2], [0, 0], "pending job: started 0, tag 0");
+        body[at] = 1;
+    });
+    match resume_multi_from_bytes(late(), &cfg, &started).map(|r| r.fingerprint().to_string()) {
+        Err(SnapshotError::Malformed { section, .. }) if section == "jobs" => {}
+        other => panic!("expected a malformed jobs section, got {other:?}"),
+    }
+}
+
+/// `snap` with the body of section `name` edited by `edit` and its CRC
+/// recomputed, so the edit passes the framing checks.
+fn rewrite_section(snap: &[u8], name: &str, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut out = snap.to_vec();
+    // Magic and version, then sections of: u16 name length, name, u64
+    // body length, body, u32 CRC.
+    let mut at = 8;
+    loop {
+        let name_len = u16::from_le_bytes(out[at..at + 2].try_into().unwrap()) as usize;
+        let len_at = at + 2 + name_len;
+        let body_len = u64::from_le_bytes(out[len_at..len_at + 8].try_into().unwrap()) as usize;
+        let (body, crc_at) = (len_at + 8, len_at + 8 + body_len);
+        if &out[at + 2..len_at] == name.as_bytes() {
+            edit(&mut out[body..crc_at]);
+            let crc = crc32(&out[body..crc_at]);
+            out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+            return out;
+        }
+        at = crc_at + 4;
     }
 }
 

@@ -125,7 +125,6 @@ fn cfg() -> ScenarioConfig {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
         .with_seed(11)
-        .with_stream_jobs(true)
         .with_collector_shards(4)
         .with_install_epoch(SimDuration::from_millis(500))
 }

@@ -43,7 +43,6 @@ fn main() {
             .with_scheduler(SchedulerKind::Pythia)
             .with_oversubscription(10)
             .with_seed(11)
-            .with_stream_jobs(true)
             .with_collector_shards(16)
             .with_install_epoch(SimDuration::from_secs(1))
             .with_relaxed_order(true)

@@ -1,11 +1,12 @@
-//! Fleet smoke tests: the streaming multi-tenant control plane — arrival
-//! traces, per-pod collector shards, epoch-batched rule installs — must
-//! run end-to-end and agree with the historical eager/unsharded path.
+//! Fleet smoke tests: the multi-tenant control plane — arrival traces,
+//! per-pod collector shards, epoch-batched rule installs — must run
+//! end-to-end, and the small exact-solver fleet must keep its pinned
+//! fingerprint.
 //!
 //! The k=4 (16-server) smoke always runs. The 1024-server fleet is opt-in
 //! via the `FLEET_SERVERS` environment variable (CI's workflow_dispatch
 //! knob, mirroring `SCALE_SERVERS`): `FLEET_SERVERS=1024` adds the k=16
-//! fabric with ≥1000 streamed jobs and pins the `fleet1000_fat16_pythia`
+//! fabric with ≥1000 jobs and pins the `fleet1000_fat16_pythia`
 //! events/sec floor (`FLEET_1024_FLOOR`), scaled by the fixed-work
 //! session factor (`pythia_experiments::calibrate`) so host drift cannot
 //! fake a regression — or hide one.
@@ -47,12 +48,11 @@ fn fleet_cfg(k: u32) -> ScenarioConfig {
 }
 
 /// The k=4 fleet on the relaxed solver (the fleet's production mode):
-/// streamed jobs, four collector shards, epoch-batched installs.
+/// four collector shards, epoch-batched installs.
 #[test]
 fn fleet_streams_on_fat_tree_k4() {
     let fleet = small_fleet();
     let cfg = fleet_cfg(4)
-        .with_stream_jobs(true)
         .with_collector_shards(4)
         .with_install_epoch(SimDuration::from_millis(500))
         .with_relaxed_order(true);
@@ -75,22 +75,22 @@ fn fleet_streams_on_fat_tree_k4() {
     );
 }
 
-/// Streaming materialization + a single collector shard must reproduce
-/// the historical eager/unsharded run exactly: same report fingerprint
-/// (exact solver path).
+/// The k=4 fleet on one collector shard and the exact solver keeps the
+/// fingerprint recorded when the engine still built every job up front:
+/// building each job at its arrival changed nothing observable.
 #[test]
-fn streaming_single_shard_matches_eager_unsharded() {
-    let fleet = small_fleet();
-    let base = fleet_cfg(4).with_relaxed_order(false);
-    let eager = run_multi_scenario(fleet.jobs(), &base);
-    let streamed = run_multi_scenario(
-        fleet.jobs(),
-        &base.clone().with_stream_jobs(true).with_collector_shards(1),
+fn single_shard_exact_fleet_fingerprint_is_pinned() {
+    let cfg = fleet_cfg(4)
+        .with_collector_shards(1)
+        .with_relaxed_order(false);
+    let r = run_multi_scenario(small_fleet().jobs(), &cfg);
+    assert_eq!(
+        r.fingerprint().to_string(),
+        "t=42.707457s ev=805 rules=251 flows=105 #7db7e12ab58074a8"
     );
-    assert_eq!(eager.fingerprint(), streamed.fingerprint());
 }
 
-/// The 1024-server fleet: ≥1000 streamed jobs on a k=16 fat-tree with 16
+/// The 1024-server fleet: ≥1000 jobs on a k=16 fat-tree with 16
 /// collector shards and epoch-batched installs, sustained above
 /// `FLOOR_ALLOWANCE` × `FLEET_1024_FLOOR` calibrated events/sec
 /// (relaxed-order solver, the fleet's production mode).
@@ -104,7 +104,6 @@ fn fleet_1024_sustains_event_rate_gated() {
     fleet.min_input_bytes = 512 << 20;
     fleet.max_input_bytes = 8u64 << 30;
     let mut cfg = fleet_cfg(16)
-        .with_stream_jobs(true)
         .with_collector_shards(16)
         .with_install_epoch(SimDuration::from_secs(1))
         .with_relaxed_order(true);
