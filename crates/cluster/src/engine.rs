@@ -29,8 +29,8 @@ use pythia_des::{EventId, EventQueue, RngFactory, SimDuration, SimTime};
 use pythia_hadoop::{FetchId, HadoopEvent, JobId, MapReduceSim, MapTaskId, ReducerId, ServerId};
 use pythia_metrics::{DegradationReport, FlowTrace, ShuffleFlowRecord};
 use pythia_netsim::{
-    background_flows, redraw_group_rates, BackgroundProfile, FiveTuple, FlowId, FlowNet, FlowSpec,
-    LinkId, MultiRack, NetFlowProbe, NodeId, Path, Topology,
+    background_flows, redraw_group_rates, BackgroundProfile, Deferral, FiveTuple, FlowId, FlowNet,
+    FlowSpec, LinkId, MultiRack, NetFlowProbe, NodeId, Path, Topology,
 };
 use pythia_openflow::{Controller, Dataplane, EcmpNextHops, FlowRule, ResolveError};
 use pythia_snapshot::shell::{load_checkpoint, store_checkpoint, Manifest};
@@ -42,7 +42,7 @@ use pythia_trace::{Component, Trace, TraceEvent};
 use crate::config::{ScenarioConfig, SchedulerKind};
 use crate::report::{JobOutcome, MultiRunReport, RunReport};
 use crate::service::{self, ControlMsg, SYSTEM_TENANT};
-use crate::snapshot::{config_hash, config_hashes_with_stream_jobs, CheckpointPolicy};
+use crate::snapshot::{config_hash, CheckpointPolicy};
 
 /// Engine events.
 #[derive(Debug)]
@@ -435,9 +435,10 @@ pub fn run_scenario_tapped(
 
 /// Run several jobs with periodic crash-durable checkpoints written per
 /// `policy`. A `kill -9` at any instant leaves the last good checkpoint
-/// intact in `policy.dir`; [`resume_multi_scenario`] picks it up. On the
-/// exact solver path the checkpointing run is byte-identical to an
-/// uncheckpointed one.
+/// intact in `policy.dir`; [`resume_multi_scenario`] picks it up. The
+/// checkpointing run is bitwise identical to an uncheckpointed one: a
+/// checkpoint writes a deferred rate solve as pending instead of forcing
+/// it.
 pub fn run_multi_scenario_checkpointed(
     jobs: Vec<(pythia_hadoop::JobSpec, pythia_des::SimDuration)>,
     cfg: &ScenarioConfig,
@@ -464,10 +465,16 @@ pub fn resume_multi_scenario(
     policy: Option<&CheckpointPolicy>,
 ) -> Result<MultiRunReport, SnapshotError> {
     let (manifest, bytes) = load_checkpoint(dir)?;
+    // An older format is refused as such, ahead of a config hash that
+    // format may have computed differently.
+    if manifest.version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::Version {
+            found: manifest.version,
+            expected: SNAPSHOT_VERSION,
+        });
+    }
     let found = config_hash(cfg);
-    if manifest.config_hash != found
-        && !config_hashes_with_stream_jobs(cfg).contains(&manifest.config_hash)
-    {
+    if manifest.config_hash != found {
         return Err(SnapshotError::ConfigMismatch {
             expected: manifest.config_hash,
             found,
@@ -507,9 +514,15 @@ pub fn resume_multi_from_bytes(
 /// The warm-up the snapshot captured is shared; the queued chaos events
 /// (link faults, controller outages, agent respills) are dropped and
 /// re-scheduled from `cfg`. Every chaos instant in `cfg` must lie
-/// strictly after the fork point, else [`SnapshotError::Fork`]. All
-/// non-chaos configuration must match the snapshotted run (see
-/// [`crate::snapshot::fork_config_hash`]).
+/// strictly after the fork point, else [`SnapshotError::Fork`].
+///
+/// No configuration hash is checked — the bytes carry none. The restore
+/// validates what the snapshot itself records against the scenario built
+/// from `cfg` and `jobs` (link and node counts, the job list and start
+/// offsets, the background flows, every cross-reference between
+/// sections), and any mismatch there is a typed error. Other non-chaos
+/// settings (seed, scheduler knobs, periods) are not recorded, so the
+/// caller vouches that they match the run that captured the snapshot.
 pub fn fork_multi_scenario(
     jobs: Vec<(pythia_hadoop::JobSpec, pythia_des::SimDuration)>,
     cfg: &ScenarioConfig,
@@ -579,26 +592,7 @@ enum LoopOutcome {
     Captured(Vec<u8>),
 }
 
-/// Relaxed mode: hard cap on how long a rate recompute may be deferred
-/// past the first mutation that dirtied the network. Larger values
-/// collapse more solver work but let stale rates ride longer, loosening
-/// the achieved tolerance.
-const RELAXED_DEFER_MAX: SimDuration = SimDuration::from_millis(1000);
-
-/// Relaxed mode: perturbation budget for deferred solves. Each deferred
-/// mutation is weighted by the relative rate error it is estimated to
-/// leave behind (~1/N for one of N concurrent fetches starting,
-/// completing or moving; 1.0 for a background redraw or link fault), and
-/// a solve is forced once the accumulated weight crosses this fraction.
-/// Sparse scenarios — where every completion is a large rate shift —
-/// therefore solve nearly eagerly and track the exact path tightly,
-/// while dense shuffles collapse dozens of sub-percent nudges into one
-/// solve. The published tolerance is calibrated against this value by
-/// the deterministic tolerance refcheck — raise it only with that gate
-/// green.
-const RELAXED_DEFER_FRAC: f64 = 0.25;
-
-/// Worker-thread count for the relaxed-order solver.
+/// Worker-thread count for the component-parallel rate solver.
 fn solver_workers(cfg: &ScenarioConfig) -> usize {
     if cfg.solver_workers == 0 {
         std::thread::available_parallelism()
@@ -625,39 +619,27 @@ struct BackgroundInstall {
 
 /// Install the background CBR flows (§V-A) into the network, grouped by
 /// trunk direction so the fluctuating profile can redistribute load
-/// within each group. An entry that cannot form a valid path — a
-/// degenerate or degraded fabric handing back an empty or discontinuous
-/// link list — is skipped and counted instead of panicking: the run
-/// proceeds without that load, the same graceful degradation as
+/// within each group. Entries that form no valid path are skipped and
+/// counted instead of panicking ([`service::static_background`]): the
+/// run proceeds without that load, the same graceful degradation as
 /// unroutable fetches.
 fn install_background_flows(
     net: &mut FlowNet,
     topo: &Topology,
     flows: Vec<(FlowSpec, Vec<LinkId>)>,
 ) -> BackgroundInstall {
-    let mut background_bps = vec![0.0; topo.num_links()];
+    let service::StaticBackground {
+        flows,
+        load_bps,
+        skipped,
+    } = service::static_background(topo, flows);
     let mut group_map: BTreeMap<(NodeId, NodeId), BgGroup> = BTreeMap::new();
-    let mut skipped = 0u64;
-    for (spec, links) in flows {
-        let Some(&link) = links.first() else {
-            skipped += 1;
-            continue;
-        };
+    for (spec, path) in flows {
+        let link = path.links()[0];
         let (src, dst, cap) = {
             let l = topo.link(link);
             (l.src, l.dst, l.capacity_bps)
         };
-        let Ok(path) = Path::new(topo, links) else {
-            skipped += 1;
-            continue;
-        };
-        // Rates accumulate only for flows that actually install, so a
-        // skipped entry contributes no phantom background load.
-        if let pythia_netsim::FlowKind::Cbr { rate_bps } = spec.kind {
-            for &l in path.links() {
-                background_bps[l.0 as usize] += rate_bps;
-            }
-        }
         let fid = net.start_flow(spec, path);
         group_map
             .entry((src, dst))
@@ -666,7 +648,7 @@ fn install_background_flows(
             .push((link, fid));
     }
     BackgroundInstall {
-        background_bps,
+        background_bps: load_bps,
         groups: group_map.into_values().collect(),
         skipped,
     }
@@ -834,16 +816,9 @@ struct Engine<'a> {
     /// events stamped with an older generation are dead (the install
     /// died with the connection) and skipped at dispatch.
     rule_generation: u64,
-    net_dirty: bool,
-    /// When the network first became dirty since the last solve (relaxed
-    /// mode): bounds how long a deferred recompute may let stale rates
-    /// ride.
-    net_dirty_since: Option<SimTime>,
-    /// Accumulated estimate of the relative rate error the deferred
-    /// mutations have left behind (relaxed mode only): ~1/N per
-    /// single-flow change among N concurrent fetches, 1.0 for structural
-    /// shifts. A solve is forced once this crosses [`RELAXED_DEFER_FRAC`].
-    net_dirty_weight: f64,
+    /// The pending rate solve, if any: mutations since the last solve and
+    /// their weight against the deferral budget.
+    deferral: Deferral,
     /// Pair→path resolution memo (see [`CachedPath`]). Pythia installs
     /// pair-level rules and ECMP only consults the full 5-tuple where
     /// several equal-cost hops exist, so most resolutions are pair-pure
@@ -862,11 +837,11 @@ struct Engine<'a> {
     /// Always empty between events (checkpoints assert it), so it is
     /// scratch, not persisted state.
     wave_scratch: Vec<WaveFetch>,
-    /// Relaxed mode: whether the completion projection may have moved
-    /// since the last `finish_round_relaxed` peek. Any flow mutation or
-    /// solve sets it; quiet rounds (the overwhelmingly common
-    /// rule-activation ticks) skip the completion-heap peek entirely.
-    /// Derived state — reset to `true` on restore, never persisted.
+    /// Whether the completion projection may have moved since the last
+    /// `finish_round` peek. Any flow mutation or solve sets it; quiet
+    /// rounds (the overwhelmingly common rule-activation ticks) skip the
+    /// completion-heap peek entirely. Persisted: a peek may fold flows,
+    /// so a resumed run must peek exactly where the original did.
     projection_dirty: bool,
     /// Dispatch-loop scratch: in-flight flows a rule or link event must
     /// re-resolve.
@@ -904,12 +879,7 @@ impl<'a> Engine<'a> {
         // per-advance byte integration for everything else (the CBR
         // background keeps its rates; its byte counters are never read).
         net.meter_sources_only(mr.servers.iter().copied());
-        if cfg.relaxed_order {
-            // Must precede the first start_flow: the accounting scheme is
-            // fixed for the lifetime of the net.
-            net.set_relaxed_order(true);
-            net.set_solver_workers(solver_workers(cfg));
-        }
+        net.set_solver_workers(solver_workers(cfg));
 
         // Background load emulating over-subscription (§V-A): one CBR
         // stream per trunk cable, grouped by direction so the fluctuating
@@ -1013,9 +983,7 @@ impl<'a> Engine<'a> {
             controller_down_total: SimDuration::ZERO,
             controller_outages_seen: 0,
             rule_generation: 0,
-            net_dirty: false,
-            net_dirty_since: None,
-            net_dirty_weight: 0.0,
+            deferral: Deferral::default(),
             path_cache: std::collections::HashMap::new(),
             routing_epoch: 0,
             completed_scratch: Vec::new(),
@@ -1165,24 +1133,11 @@ impl<'a> Engine<'a> {
                 let mut completed = std::mem::take(&mut self.completed_scratch);
                 completed.clear();
                 completed.extend_from_slice(self.net.advance_to(now));
-                let any_completed = !completed.is_empty();
                 for &fid in &completed {
                     self.on_flow_complete(now, fid);
                 }
                 completed.clear();
                 self.completed_scratch = completed;
-                // Crisp measured curves, one sweep per completion batch:
-                // every counter is already integrated to `now` before the
-                // first completion processes, and neither flow removal nor
-                // the follow-up fetch starts move a cum-tx counter, so the
-                // k per-completion sweeps this replaces all read identical
-                // values — one sweep records the same curves. Relaxed mode
-                // touches only each completing flow's own source curve
-                // (inside `on_flow_complete`); every other watched counter
-                // is analytic and read at the next periodic tick.
-                if any_completed && !self.net.relaxed_order() {
-                    self.probe.sample(&self.net);
-                }
             }
             // 2. The event itself, timed per handler so the span
             // histograms attribute dispatch cost by event type.
@@ -1227,9 +1182,9 @@ impl<'a> Engine<'a> {
                 }
                 Event::FlowCheck => {
                     // Work done by the advance above. Clearing the handle
-                    // changes what the relaxed round-finish must compare
-                    // against, so the projection must be re-peeked even if
-                    // the advance completed nothing (a lazily-stale check).
+                    // changes what the round finish must compare against,
+                    // so the projection must be re-peeked even if the
+                    // advance completed nothing (a lazily-stale check).
                     self.flowcheck = None;
                     self.projection_dirty = true;
                 }
@@ -1262,7 +1217,7 @@ impl<'a> Engine<'a> {
             if self.all_done() {
                 // Final probe point at job end, then stop: only unbounded
                 // background flows remain.
-                if self.net_dirty {
+                if self.deferral.is_pending() {
                     self.net.recompute();
                 }
                 self.probe.sample(&self.net);
@@ -1270,7 +1225,7 @@ impl<'a> Engine<'a> {
             }
             self.finish_round(now);
             // Checkpoints land here — after the event's effects and the
-            // rate solve — so the snapshot is of a settled simulation.
+            // round's finish — so no event is half applied.
             if let Some(cp) = checkpoint.as_mut() {
                 if cp.due(self.events_processed, now) {
                     self.write_checkpoint(now, cp)?;
@@ -1293,11 +1248,10 @@ impl<'a> Engine<'a> {
     /// versioned snapshot. `now` is the checkpoint instant (the time of
     /// the event just dispatched).
     ///
-    /// Relaxed mode settles any deferred rate solve first (a solve is
-    /// always legal, and [`pythia_netsim::FlowNet`] refuses to serialize
-    /// stale rates). The exact path is already solved at every checkpoint
-    /// site and recomputes nothing, so a checkpointing run stays
-    /// byte-identical to an uncheckpointed one.
+    /// A deferred rate solve is written as pending — the network's
+    /// provisional rates and dirty links, the engine's deferral state —
+    /// never forced, so a checkpointing run stays bitwise identical to an
+    /// uncheckpointed one.
     fn snapshot_bytes(&mut self, now: SimTime) -> Vec<u8> {
         // Checkpoints land between events, and every Hadoop batch drains
         // its fetch wave before its handler returns — a wave is never
@@ -1306,7 +1260,6 @@ impl<'a> Engine<'a> {
             self.wave_scratch.is_empty(),
             "checkpoint with a fetch wave in flight"
         );
-        self.sync_rates_for_read();
         let _span = self.flight.span("checkpoint");
         let mut w = Writer::new();
         w.section("engine", |s| {
@@ -1336,6 +1289,8 @@ impl<'a> Engine<'a> {
             self.tenant_rules_issued.put(s);
             self.tenant_rules_installed.put(s);
             self.tenant_tcam_rejected.put(s);
+            self.deferral.put(s);
+            self.projection_dirty.put(s);
         });
         w.section("queue", |s| {
             self.queue.next_seq().put(s);
@@ -1427,8 +1382,8 @@ impl<'a> Engine<'a> {
 
     /// Overlay a snapshot onto this freshly constructed engine. Every
     /// cross-reference is validated against the running scenario — a
-    /// snapshot from a different cluster, job list, or solver mode is a
-    /// typed error, never a panic. On error the engine is in a partially
+    /// snapshot from a different cluster or job list is a typed error,
+    /// never a panic. On error the engine is in a partially
     /// restored state and must be discarded (every caller does).
     ///
     /// With `fork`, the queued chaos events (link faults, controller
@@ -1546,6 +1501,8 @@ impl<'a> Engine<'a> {
         let tenant_rules_issued = Vec::<u64>::get(&mut s)?;
         let tenant_rules_installed = Vec::<u64>::get(&mut s)?;
         let tenant_tcam_rejected = Vec::<u64>::get(&mut s)?;
+        let deferral = Deferral::get(&mut s)?;
+        let projection_dirty = bool::get(&mut s)?;
         for (what, v) in [
             ("issued", &tenant_rules_issued),
             ("installed", &tenant_rules_installed),
@@ -1612,28 +1569,8 @@ impl<'a> Engine<'a> {
         let mut s = rd.section("net")?;
         let mut net = FlowNet::get_state(self.mr.topology.clone(), &mut s)?;
         s.finish()?;
-        if net.relaxed_order() != self.cfg.relaxed_order {
-            return Err(malformed(
-                "net",
-                format!(
-                    "snapshot used the {} rate solver, the scenario uses the {} one",
-                    if net.relaxed_order() {
-                        "relaxed-order"
-                    } else {
-                        "exact"
-                    },
-                    if self.cfg.relaxed_order {
-                        "relaxed-order"
-                    } else {
-                        "exact"
-                    },
-                ),
-            ));
-        }
-        if self.cfg.relaxed_order {
-            // The worker pool is a runtime resource, not state.
-            net.set_solver_workers(solver_workers(self.cfg));
-        }
+        // The worker pool is a runtime resource, not state.
+        net.set_solver_workers(solver_workers(self.cfg));
         for fid in fetch_of_flow.keys() {
             if net.flow(*fid).is_none() {
                 return Err(malformed(
@@ -1786,16 +1723,12 @@ impl<'a> Engine<'a> {
         self.controller_down_since = controller_down_since;
         self.controller_down_total = controller_down_total;
         self.controller_outages_seen = controller_outages_seen;
-        // The network was solved when serialized; the resolution memo is
-        // cold but provably reconstructible (it is only a cache); default
-        // forwarding reconverges from the restored down set.
-        self.net_dirty = false;
-        self.net_dirty_since = None;
-        self.net_dirty_weight = 0.0;
-        // Derived, not persisted: force one fresh projection peek. The
-        // restored flowcheck already matches the solved heap, so the peek
-        // is a no-op match — byte-identical resume.
-        self.projection_dirty = true;
+        // A deferred solve resumes pending, exactly as it was; the
+        // resolution memo is cold but provably reconstructible (it is only
+        // a cache); default forwarding reconverges from the restored down
+        // set.
+        self.deferral = deferral;
+        self.projection_dirty = projection_dirty;
         self.wave_scratch.clear();
         self.path_cache.clear();
         self.routing_epoch = 0;
@@ -1891,79 +1824,29 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Recompute rates and reschedule the completion probe after any flow
-    /// mutation.
+    /// Settle the round: solve rates unless the deferral budget lets the
+    /// solve wait ([`Deferral::solve_due`]; with
+    /// [`ScenarioConfig::eager_solves`], never), then reschedule the
+    /// completion probe if its projection moved.
+    ///
+    /// Deferring collapses bursts of mutations (a wave of fetch starts, a
+    /// run of rule installs) into one solve; the staleness it leaves
+    /// behind is held to the deferral budget (see
+    /// [`pythia_netsim::deferral`]). The probe is rescheduled only when
+    /// its projection actually moved, and a quiet round — no solve and no
+    /// flow added or removed since the last peek — skips the peek.
     fn finish_round(&mut self, now: SimTime) {
         let _span = self.flight.span("finish_round");
-        if self.net.relaxed_order() {
-            self.finish_round_relaxed(now);
-            return;
+        let due = if self.cfg.eager_solves {
+            self.deferral.is_pending()
+        } else {
+            self.deferral.solve_due(now, self.queue.peek_time())
+        };
+        if due {
+            self.solve_now();
         }
-        if self.net_dirty {
-            {
-                let _span = self.flight.span("net_recompute");
-                self.net.recompute();
-            }
-            self.net_dirty = false;
-            self.net_dirty_weight = 0.0;
-            if let Some((h, _)) = self.flowcheck.take() {
-                self.queue.cancel(h);
-            }
-            let _span = self.flight.span("net_next_completion");
-            if let Some((t, _)) = self.net.next_completion() {
-                self.flowcheck = Some((self.queue.push(t, Event::FlowCheck), t));
-            }
-        } else if self.flowcheck.is_none() {
-            let _span = self.flight.span("net_next_completion");
-            if let Some((t, _)) = self.net.next_completion() {
-                self.flowcheck = Some((self.queue.push(t, Event::FlowCheck), t));
-            }
-        }
-    }
-
-    /// Relaxed-mode round finish. Two deviations from the exact path,
-    /// both invisible within the documented tolerance: the rate solve is
-    /// deferred while the staleness it would leave behind (next event
-    /// time minus first-dirty time) stays under the deferral budget,
-    /// collapsing bursts of rule installs into one solve; and the
-    /// completion probe is rescheduled only when its projection actually
-    /// moved, eliminating the cancel-and-repush churn every round.
-    ///
-    /// The budget is perturbation-weighted, not purely time-based: each
-    /// deferred mutation carries an estimate of the relative rate error
-    /// it leaves behind (removing or adding one of N fair-sharing
-    /// transfers shifts its neighbors' rates by ~1/N; a background
-    /// redraw or link fault reshapes everything and weighs 1.0), and the
-    /// solve fires once the accumulated weight crosses
-    /// [`RELAXED_DEFER_FRAC`] — or the deferral window crosses
-    /// [`RELAXED_DEFER_MAX`], whichever is first. A sparse scenario
-    /// (few concurrent flows, every completion a large rate shift)
-    /// therefore solves nearly eagerly and tracks the exact path within
-    /// the published tolerance, while a dense shuffle (hundreds of
-    /// concurrent flows, each mutation a sub-percent nudge) collapses
-    /// dozens of mutations into one solve.
-    fn finish_round_relaxed(&mut self, now: SimTime) {
-        if self.net_dirty {
-            let since = *self.net_dirty_since.get_or_insert(now);
-            let defer = self.net_dirty_weight < RELAXED_DEFER_FRAC
-                && self
-                    .queue
-                    .peek_time()
-                    .is_some_and(|t| t.saturating_since(since) <= RELAXED_DEFER_MAX);
-            if !defer {
-                let _span = self.flight.span("net_recompute");
-                self.net.recompute();
-                self.net_dirty = false;
-                self.net_dirty_since = None;
-                self.net_dirty_weight = 0.0;
-                self.projection_dirty = true;
-            }
-        }
-        // Quiet round: no solve and no flow add/remove since the last
-        // peek, so the completion heap is untouched and the projection
-        // still matches the scheduled flowcheck — skip the peek. Rule
-        // activations that move nothing (the bulk of all events) take
-        // this path.
+        // Rule activations that move nothing (the bulk of all events)
+        // take this exit.
         if !self.projection_dirty {
             return;
         }
@@ -1986,39 +1869,33 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Run the pending rate solve now and clear the deferral state.
+    fn solve_now(&mut self) {
+        let _span = self.flight.span("net_recompute");
+        self.net.recompute();
+        self.deferral.solved();
+        self.projection_dirty = true;
+    }
+
     /// Force a deferred rate solve before a handler reads rates or loads
-    /// off the network. Relaxed mode only: the exact path solves eagerly
-    /// in `finish_round` and must never recompute here — an extra solve
-    /// at a read point would reorder byte accumulation and break the
-    /// byte-identical fingerprints.
+    /// off the network.
     fn sync_rates_for_read(&mut self) {
-        if self.net.relaxed_order() && self.net_dirty {
-            let _span = self.flight.span("net_recompute");
-            self.net.recompute();
-            self.net_dirty = false;
-            self.net_dirty_since = None;
-            self.net_dirty_weight = 0.0;
-            self.projection_dirty = true;
+        if self.deferral.is_pending() {
+            self.solve_now();
         }
     }
 
     /// Mark the network dirty from a single-flow mutation: one of the
-    /// in-flight fetches started, completed, or moved, nudging its
-    /// fair-share neighbors' rates by roughly one part in the concurrent
-    /// fetch count.
+    /// in-flight fetches started, completed, or moved.
     fn dirty_net_flow(&mut self) {
-        self.net_dirty = true;
-        self.net_dirty_weight += 1.0 / self.fetch_of_flow.len().max(1) as f64;
+        self.deferral.flow_changed(self.fetch_of_flow.len());
         self.projection_dirty = true;
     }
 
     /// Mark the network dirty from a structural change (background
-    /// redraw, link fault, routing reconvergence): rates shift
-    /// everywhere, so a relaxed solve must not be deferred past the next
-    /// event.
+    /// redraw, link fault, routing reconvergence).
     fn dirty_net_all(&mut self) {
-        self.net_dirty = true;
-        self.net_dirty_weight += 1.0;
+        self.deferral.structural_change();
         self.projection_dirty = true;
     }
 
@@ -2232,14 +2109,11 @@ impl<'a> Engine<'a> {
             &report,
             &self.mr.trunk_links,
         ));
-        // Crisp measured curves: relaxed mode samples the completing
-        // flow's own source curve here (a same-timestamp wave coalesces
-        // into one point via the delta-encoded push); exact mode sweeps
-        // all counters once per completion batch, in the dispatch loop's
-        // advance block.
-        if self.net.relaxed_order() {
-            self.probe.sample_node(&self.net, report.spec.tuple.src);
-        }
+        // Crisp measured curves: sample the completing flow's own source
+        // curve (a same-timestamp wave coalesces into one point via the
+        // delta-encoded push); every other watched counter is analytic
+        // and read at the next periodic tick.
+        self.probe.sample_node(&self.net, report.spec.tuple.src);
         let (job, fetch) = self
             .fetch_of_flow
             .remove(&fid)

@@ -39,21 +39,19 @@ pub mod engine;
 pub mod report;
 pub mod service;
 pub mod snapshot;
-pub mod tolerance;
 
-pub use config::{
-    ControllerOutage, LinkFault, ScenarioConfig, SchedulerKind, RELAXED_ABS_EPS_SECS,
-    RELAXED_COMPLETION_EPS, RELAXED_CURVE_EPS,
-};
+pub use config::{ControllerOutage, LinkFault, ScenarioConfig, SchedulerKind};
 pub use engine::{
     capture_multi_snapshot, fork_multi_scenario, resume_multi_from_bytes, resume_multi_scenario,
     run_multi_scenario, run_multi_scenario_checkpointed, run_multi_scenario_tapped, run_scenario,
     run_scenario_tapped,
 };
+/// The completion-time envelope of the rate engine's deferred solves
+/// (defined next to the deferral policy in `pythia-netsim`).
+pub use pythia_netsim::{RELAXED_ABS_EPS_SECS, RELAXED_COMPLETION_EPS};
 pub use pythia_snapshot::SnapshotError;
 pub use report::{Fingerprint, JobOutcome, MultiRunReport, RunReport};
 pub use service::{
     dispatch_control, tenant_of, ControlMsg, MalformedMsg, ServiceCore, ServiceError, SYSTEM_TENANT,
 };
-pub use snapshot::{config_hash, fork_config_hash, CheckpointPolicy};
-pub use tolerance::{compare_conservation, compare_tolerance, ToleranceReport};
+pub use snapshot::{config_hash, CheckpointPolicy};

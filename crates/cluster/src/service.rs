@@ -26,7 +26,7 @@ use std::sync::Arc;
 use pythia_core::{PredictionMsg, PythiaSystem};
 use pythia_des::{RngFactory, SimTime};
 use pythia_hadoop::{JobId, MapTaskId, ReducerId, ServerId};
-use pythia_netsim::{background_flows, LinkId, MultiRack};
+use pythia_netsim::{background_flows, FlowKind, FlowSpec, LinkId, MultiRack, Path, Topology};
 use pythia_openflow::{Controller, PendingRule};
 use pythia_trace::Trace;
 
@@ -280,26 +280,43 @@ fn pod_of_nodes(mr: &MultiRack) -> Vec<u32> {
     pod_of_node
 }
 
-/// The static CBR background per link (bits/sec) the scenario starts
-/// with — what the link-load service would report net of Pythia's own
-/// shuffle traffic. Must match the engine's seeding of the residual
-/// table exactly.
-pub fn static_background_bps(mr: &MultiRack, cfg: &ScenarioConfig) -> Vec<f64> {
-    let mut background_bps = vec![0.0; mr.topology.num_links()];
-    for (spec, links) in background_flows(&mr.topology, &mr.trunk_links, cfg.oversubscription) {
-        // Entries with no valid path install no flow engine-side (they are
-        // skipped and counted there), so they contribute no load here
-        // either — both sides see the same residual table.
-        if pythia_netsim::Path::new(&mr.topology, links.clone()).is_err() {
+/// A scenario's static CBR background: the streams that form a valid
+/// path, and the load per link (bits/sec) they add up to — what the
+/// link-load service reports net of Pythia's own shuffle traffic.
+pub struct StaticBackground {
+    /// Each installable stream with its validated path, in input order.
+    pub flows: Vec<(FlowSpec, Path)>,
+    /// Requested CBR rate summed per link over `flows`.
+    pub load_bps: Vec<f64>,
+    /// Entries skipped because their link list formed no valid path.
+    pub skipped: u64,
+}
+
+/// Validate background `flows` on `topo` and derive their static load.
+/// An entry that cannot form a valid path — a degenerate or degraded
+/// fabric handing back an empty or discontinuous link list — is skipped
+/// and counted, and contributes no load. The engine installs exactly the
+/// returned flows and [`ServiceCore`] seeds its residual table from the
+/// returned load, so both start from one table.
+pub fn static_background(topo: &Topology, flows: Vec<(FlowSpec, Vec<LinkId>)>) -> StaticBackground {
+    let mut bg = StaticBackground {
+        flows: Vec::with_capacity(flows.len()),
+        load_bps: vec![0.0; topo.num_links()],
+        skipped: 0,
+    };
+    for (spec, links) in flows {
+        let Ok(path) = Path::new(topo, links) else {
+            bg.skipped += 1;
             continue;
-        }
-        if let pythia_netsim::FlowKind::Cbr { rate_bps } = spec.kind {
-            for &l in &links {
-                background_bps[l.0 as usize] += rate_bps;
+        };
+        if let FlowKind::Cbr { rate_bps } = spec.kind {
+            for &l in path.links() {
+                bg.load_bps[l.0 as usize] += rate_bps;
             }
         }
+        bg.flows.push((spec, path));
     }
-    background_bps
+    bg
 }
 
 /// A scenario's control plane as [`control_plane`] builds it.
@@ -376,11 +393,17 @@ impl ServiceCore {
     pub fn from_config(cfg: &ScenarioConfig) -> Result<ServiceCore, ServiceError> {
         let mr = cfg.topology.build();
         let trace = Trace::new(&cfg.trace);
+        let background = background_flows(&mr.topology, &mr.trunk_links, cfg.oversubscription);
         let ControlPlane {
             controller,
             pythia: Some(pythia),
             pod_of_node,
-        } = control_plane(cfg, &mr, &static_background_bps(&mr, cfg), &trace)
+        } = control_plane(
+            cfg,
+            &mr,
+            &static_background(&mr.topology, background).load_bps,
+            &trace,
+        )
         else {
             return Err(ServiceError::NotPythia {
                 scheduler: cfg.scheduler.label(),

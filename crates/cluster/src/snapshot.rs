@@ -11,17 +11,18 @@ use std::path::PathBuf;
 
 use pythia_des::SimDuration;
 
+use pythia_trace::TraceConfig;
+
 use crate::config::ScenarioConfig;
 
 /// When and where periodic checkpoints are written during a run.
 ///
 /// Both cadence knobs may be set at once; a checkpoint is taken whenever
-/// either is due. Checkpoints land at the bottom of the event loop —
-/// after the event's effects and the rate solve — so the snapshot is
-/// always of a settled simulation. On the exact solver path a
-/// checkpointing run stays byte-identical to an uncheckpointed one; the
-/// relaxed-order path settles its deferred solve at each checkpoint
-/// (always a legal solve point, covered by the published tolerance).
+/// either is due. Checkpoints land at the bottom of the event loop, after
+/// the event's effects and the round's finish, so no event is half
+/// applied. A rate solve the round deferred is written as pending rather
+/// than forced, so a checkpointing run stays bitwise identical to an
+/// uncheckpointed one.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Directory the snapshot files and `MANIFEST` are written into.
@@ -83,77 +84,78 @@ impl CheckpointPolicy {
 /// manifest and checked on resume: a snapshot resumed under a different
 /// configuration is a typed [`pythia_snapshot::SnapshotError::ConfigMismatch`],
 /// not a silently divergent run. The hash covers the config's complete
-/// `Debug` rendering, so any field change invalidates old checkpoints.
+/// `Debug` rendering, with the fields that cannot change a result
+/// normalized first: the deprecated `relaxed_order` (read by nothing),
+/// `solver_workers` (results are bitwise identical for any worker count)
+/// and `trace` (the flight recorder observes a run without steering it).
 pub fn config_hash(cfg: &ScenarioConfig) -> u64 {
-    pythia_des::fnv1a64(format!("{cfg:?}").as_bytes())
-}
-
-/// The [`config_hash`]es that checkpoints written while
-/// [`ScenarioConfig`] still had its `stream_jobs` field carry for `cfg`:
-/// the field sat between `solver_workers` and `collector_shards` in the
-/// `Debug` string. Both of its settings resume identically now, so
-/// [`crate::resume_multi_scenario`] accepts a manifest with either hash.
-pub(crate) fn config_hashes_with_stream_jobs(cfg: &ScenarioConfig) -> [u64; 2] {
-    let now = format!("{cfg:?}");
-    let at = now
-        .rfind(", collector_shards: ")
-        .expect("ScenarioConfig's Debug names collector_shards");
-    [false, true].map(|on| {
-        let then = format!("{}, stream_jobs: {on}{}", &now[..at], &now[at..]);
-        pythia_des::fnv1a64(then.as_bytes())
-    })
-}
-
-/// [`config_hash`] with the chaos schedule (link faults, controller
-/// outages, agent respills) cleared — what a *fork* must agree on: the
-/// warm-up the snapshot captured is shared, only the chaos injected after
-/// the fork point may differ.
-pub fn fork_config_hash(cfg: &ScenarioConfig) -> u64 {
-    let mut base = cfg.clone();
-    base.link_faults.clear();
-    base.controller_outages.clear();
-    base.agent_respill_at.clear();
-    config_hash(&base)
+    let mut neutral = cfg.clone();
+    #[allow(deprecated)]
+    {
+        neutral.relaxed_order = true;
+    }
+    neutral.solver_workers = 0;
+    neutral.trace = TraceConfig::disabled();
+    pythia_des::fnv1a64(format!("{neutral:?}").as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulerKind;
+    use pythia_netsim::FatTreeParams;
 
     #[test]
     fn hash_is_stable_and_sensitive() {
         let a = ScenarioConfig::default();
         let b = ScenarioConfig::default();
         assert_eq!(config_hash(&a), config_hash(&b));
-        let c = ScenarioConfig::default().with_seed(99);
-        assert_ne!(config_hash(&a), config_hash(&c));
+        let differs = [
+            ScenarioConfig::default().with_seed(99),
+            ScenarioConfig::default().with_topology(FatTreeParams {
+                k: 4,
+                ..FatTreeParams::default()
+            }),
+            ScenarioConfig::default().with_scheduler(SchedulerKind::Pythia),
+            ScenarioConfig {
+                eager_solves: true,
+                ..ScenarioConfig::default()
+            },
+        ];
+        for c in &differs {
+            assert_ne!(config_hash(&a), config_hash(c), "{c:?}");
+        }
     }
 
+    /// Fields that cannot change a result leave the hash alone, so a run
+    /// resumes under a different worker count or trace setting.
     #[test]
-    fn checkpoints_from_before_stream_jobs_removal_still_match() {
-        // What `config_hash` gave the default configuration while it
-        // still had `stream_jobs: false` and `stream_jobs: true`.
+    #[allow(deprecated)]
+    fn result_neutral_fields_keep_the_hash() {
+        let base = config_hash(&ScenarioConfig::default());
+        let exact = ScenarioConfig {
+            relaxed_order: false,
+            ..ScenarioConfig::default()
+        };
+        let workers = ScenarioConfig {
+            solver_workers: 3,
+            ..ScenarioConfig::default()
+        };
+        let traced = ScenarioConfig::default().with_trace(TraceConfig::enabled());
+        for c in [exact, workers, traced] {
+            assert_eq!(config_hash(&c), base, "{c:?}");
+        }
+    }
+
+    /// A change to `ScenarioConfig`'s `Debug` rendering orphans every
+    /// checkpoint on disk; it must fail here, not at someone's resume.
+    #[test]
+    fn default_config_hash_is_pinned() {
+        let got = config_hash(&ScenarioConfig::default());
         assert_eq!(
-            config_hashes_with_stream_jobs(&ScenarioConfig::default()),
-            [0xbe98_7ec8_2611_a33d, 0xc3e4_3654_38b3_45de]
+            got, 0xd6d3_1787_eb7f_bb94,
+            "default config hash {got:#018x}"
         );
-    }
-
-    #[test]
-    fn fork_hash_ignores_chaos_schedule() {
-        let base = ScenarioConfig::default();
-        let mut chaotic = ScenarioConfig::default();
-        chaotic
-            .controller_outages
-            .push(crate::config::ControllerOutage {
-                down_at: SimDuration::from_secs(5),
-                up_at: SimDuration::from_secs(6),
-            });
-        assert_ne!(config_hash(&base), config_hash(&chaotic));
-        assert_eq!(fork_config_hash(&base), fork_config_hash(&chaotic));
-        // But a non-chaos change still shows through.
-        let other = ScenarioConfig::default().with_seed(99);
-        assert_ne!(fork_config_hash(&base), fork_config_hash(&other));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! its counter:
 //!
 //! 1. **Zero steady-state allocation** in the component hot loops: a
-//!    warmed-up [`FlowNet`] advance → mutate → recompute cycle (exact
-//!    and relaxed-order, one solver worker), a
+//!    warmed-up [`FlowNet`] advance → mutate → recompute cycle (one
+//!    solver worker), a
 //!    pre-sized NetFlow probe sampling cycle, and a warmed-up
 //!    [`EventQueue`] push → cancel → pop cycle must perform exactly zero
 //!    heap allocations.
@@ -62,10 +62,9 @@ fn allocs() -> u64 {
 /// long-lived adaptive flows, so a cycle exercises the layered CBR
 /// refresh, the adaptive region solve and metered byte integration
 /// together. Returns the net (solved once) and its CBR flows.
-fn loaded_net(mr: &MultiRack, relaxed: bool) -> (FlowNet, Vec<FlowId>) {
+fn loaded_net(mr: &MultiRack) -> (FlowNet, Vec<FlowId>) {
     let topo = &mr.topology;
     let mut net = FlowNet::new(topo.clone());
-    net.set_relaxed_order(relaxed);
     let mut cbrs = Vec::new();
     for trunk in 0..2 {
         let l = topo.find_link(mr.tors[0], mr.tors[1], trunk).unwrap();
@@ -140,28 +139,22 @@ fn job(maps: usize, reducers: usize) -> JobSpec {
 )]
 #[test]
 fn hot_loops_allocation_budget() {
-    // ---- 1a. FlowNet steady state: zero allocations, in both solver
-    // modes (the relaxed leg runs its component solves on the calling
-    // thread: one solver worker, the default).
+    // ---- 1a. FlowNet steady state: zero allocations (component solves
+    // on the calling thread: one solver worker, the default).
     let mr = build_multi_rack(&MultiRackParams::default());
-    let steady = |relaxed: bool| {
-        let (mut net, cbrs) = loaded_net(&mr, relaxed);
-        for round in 0..50 {
-            net_cycle(&mut net, &cbrs, round); // warm every internal buffer
-        }
-        let before = allocs();
-        for round in 50..150 {
-            net_cycle(&mut net, &cbrs, round);
-        }
-        assert_eq!(
-            allocs() - before,
-            0,
-            "FlowNet advance/mutate/recompute cycle allocated in steady state (relaxed: {relaxed})"
-        );
-        (net, cbrs)
-    };
-    steady(true);
-    let (mut net, cbrs) = steady(false);
+    let (mut net, cbrs) = loaded_net(&mr);
+    for round in 0..50 {
+        net_cycle(&mut net, &cbrs, round); // warm every internal buffer
+    }
+    let before = allocs();
+    for round in 50..150 {
+        net_cycle(&mut net, &cbrs, round);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "FlowNet advance/mutate/recompute cycle allocated in steady state"
+    );
 
     // ---- 1b. NetFlow probe steady state: zero allocations. -------------
     // Pre-sized curves (the engine reserves from the scenario's fetch

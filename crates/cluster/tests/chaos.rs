@@ -138,13 +138,12 @@ fn chaos_is_deterministic() {
 /// net mid-retry, parked fetches, an outage scheduled or in flight —
 /// must restore to a run indistinguishable from the uninterrupted one:
 /// every DegradationReport counter and the MgmtNet retry state survive
-/// the round trip. Pinned to the exact solver path so the assertion is
-/// full equality.
+/// the round trip. The assertion is full equality.
 #[test]
 fn chaos_survives_mid_run_checkpoint_restore() {
     use pythia_cluster::{capture_multi_snapshot, resume_multi_from_bytes};
 
-    let cfg = chaos_cfg(SchedulerKind::Pythia, 7).with_relaxed_order(false);
+    let cfg = chaos_cfg(SchedulerKind::Pythia, 7);
     let jobs = || vec![(job(40, 8), SimDuration::ZERO)];
 
     let full = pythia_cluster::run_multi_scenario(jobs(), &cfg);
@@ -243,13 +242,10 @@ proptest! {
         down_len_s in 1u64..8,
         respill_s in 4u64..20,
     ) {
-        // The randomized schedule runs on the relaxed solver; the
-        // checkpoint leg below replays it on the exact one.
         let mut cfg = ScenarioConfig::default()
             .with_scheduler(SchedulerKind::Pythia)
             .with_oversubscription(10)
-            .with_seed(seed)
-            .with_relaxed_order(true);
+            .with_seed(seed);
         cfg.pythia.mgmtnet = MgmtNetConfig {
             loss_prob: loss,
             dup_prob: dup,
@@ -272,17 +268,15 @@ proptest! {
         prop_assert_eq!(r.degradation.controller_outages, 1);
 
         // Mid-run checkpoint+restore leg under the same randomized fault
-        // schedule (exact solver pinned so the comparison is equality):
-        // every degradation counter and the MgmtNet retry state must
-        // survive the round trip — the resumed run is indistinguishable.
-        let exact_cfg = cfg.with_relaxed_order(false);
+        // schedule: every degradation counter and the MgmtNet retry state
+        // must survive the round trip — the resumed run is
+        // indistinguishable from the uninterrupted one.
         let jobs = || vec![(job(16, 4), SimDuration::ZERO)];
-        let full = pythia_cluster::run_multi_scenario(jobs(), &exact_cfg);
+        let full = pythia_cluster::run_multi_scenario(jobs(), &cfg);
         let snap = pythia_cluster::capture_multi_snapshot(
-            jobs(), &exact_cfg, (full.events_processed / 2).max(1),
+            jobs(), &cfg, (full.events_processed / 2).max(1),
         ).unwrap();
-        let resumed =
-            pythia_cluster::resume_multi_from_bytes(jobs(), &exact_cfg, &snap).unwrap();
+        let resumed = pythia_cluster::resume_multi_from_bytes(jobs(), &cfg, &snap).unwrap();
         prop_assert_eq!(full.fingerprint(), resumed.fingerprint());
     }
 }

@@ -55,9 +55,7 @@ fn cfg_of(s: &FleetScn) -> ScenarioConfig {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
         .with_seed(s.seed)
-        .with_collector_shards(s.shards)
-        // Exact solver: every comparison below is equality, not tolerance.
-        .with_relaxed_order(false);
+        .with_collector_shards(s.shards);
     if let Some(ms) = s.epoch_ms {
         cfg = cfg.with_install_epoch(SimDuration::from_millis(ms));
     }
@@ -65,11 +63,9 @@ fn cfg_of(s: &FleetScn) -> ScenarioConfig {
 }
 
 /// One fixed fleet, pinned: k=4, four collector shards, 300 ms install
-/// epochs, exact solver. The headline numbers (308 events, 39 rules, 26
-/// flows) and the twelve job completions were first captured from the
-/// engine that still had a separate sharding facade and a per-fetch
-/// start path, so the pin holds the merged collector and the wave-only
-/// fetch path to it.
+/// epochs. Re-taken once when the relaxed-order solver became the only
+/// accounting mode (it equals what that mode produced while it was still
+/// optional); every comparison in this file is equality, not tolerance.
 #[test]
 fn four_shard_epoch_fleet_is_pinned() {
     let s = FleetScn {
@@ -82,7 +78,7 @@ fn four_shard_epoch_fleet_is_pinned() {
     let r = run_multi_scenario(fleet_of(&s).jobs(), &cfg_of(&s));
     assert_eq!(
         r.fingerprint().to_string(),
-        "t=16.721680s ev=308 rules=39 flows=26 #dac631e19ad31306"
+        "t=16.721680s ev=306 rules=39 flows=26 #a6b1e3917ab5ae17"
     );
 }
 

@@ -1,21 +1,20 @@
 //! Crash-durable snapshot/resume: the whole simulation checkpoints,
-//! resumes byte-identically (exact solver path), forks onto new chaos
+//! resumes bitwise identically — a checkpoint writes a deferred rate
+//! solve as pending instead of forcing it — forks onto new chaos
 //! schedules, and turns every corrupt snapshot into a typed error.
 //!
-//! The exact-path tests pin `with_relaxed_order(false)` and assert equal
-//! canonical report fingerprints. The relaxed legs pin `true`: a relaxed
-//! checkpointing run resumes to its own fingerprint, and a relaxed resume
-//! stays within the published tolerance of the exact run.
+//! Every equality compares canonical report fingerprints.
 
 use pythia_cluster::{
-    capture_multi_snapshot, compare_tolerance, fork_multi_scenario, resume_multi_from_bytes,
-    resume_multi_scenario, run_multi_scenario, run_multi_scenario_checkpointed, CheckpointPolicy,
-    ControllerOutage, ScenarioConfig, SchedulerKind, SnapshotError,
+    capture_multi_snapshot, fork_multi_scenario, resume_multi_from_bytes, resume_multi_scenario,
+    run_multi_scenario, run_multi_scenario_checkpointed, CheckpointPolicy, ControllerOutage,
+    ScenarioConfig, SchedulerKind, SnapshotError,
 };
 use pythia_core::MgmtNetConfig;
 use pythia_des::SimDuration;
 use pythia_hadoop::{DurationModel, JobSpec};
-use pythia_snapshot::crc32;
+use pythia_snapshot::shell::{load_checkpoint, store_checkpoint};
+use pythia_snapshot::{crc32, SNAPSHOT_VERSION};
 use pythia_workloads::SkewModel;
 
 const MB: u64 = 1_000_000;
@@ -38,15 +37,14 @@ fn jobs(maps: usize, reducers: usize) -> Vec<(JobSpec, SimDuration)> {
     vec![(job(maps, reducers), SimDuration::ZERO)]
 }
 
-/// Exact-path scenario with the full fault battery armed: lossy mgmt
+/// Scenario with the full fault battery armed: lossy mgmt
 /// net, a mid-shuffle controller outage and an agent respill, so the
 /// snapshot has to carry retry state, parked fetches and chaos events.
 fn chaosy_cfg(seed: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::default()
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
-        .with_seed(seed)
-        .with_relaxed_order(false);
+        .with_seed(seed);
     cfg.pythia.mgmtnet = MgmtNetConfig {
         loss_prob: 0.2,
         dup_prob: 0.1,
@@ -69,7 +67,6 @@ fn clean_cfg(seed: u64) -> ScenarioConfig {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
         .with_seed(seed)
-        .with_relaxed_order(false)
 }
 
 #[test]
@@ -114,7 +111,7 @@ fn checkpointed_run_matches_plain_and_resumes_from_disk() {
     assert_eq!(
         plain.fingerprint(),
         checkpointed.fingerprint(),
-        "periodic checkpointing perturbed the exact-path run"
+        "periodic checkpointing perturbed the run"
     );
 
     // Superseded snapshots are pruned: one .pysnap plus the MANIFEST.
@@ -161,14 +158,18 @@ fn corrupt_snapshots_fail_typed_never_panic() {
         Err(SnapshotError::Version { found: 999, .. }) => {}
         other => panic!("expected Version mismatch, got {other:?}"),
     }
-    // A checkpoint in the previous layout (format 1 repeated every
-    // server's instrumentation inside each collector shard) is refused by
-    // its version, never misparsed.
-    let mut old_format = snap.clone();
-    old_format[4..8].copy_from_slice(&1u32.to_le_bytes());
-    match resume_multi_from_bytes(jobs(8, 4), &cfg, &old_format) {
-        Err(SnapshotError::Version { found: 1, expected }) => assert!(expected > 1),
-        other => panic!("expected Version mismatch, got {other:?}"),
+    // Checkpoints in earlier layouts (format 1 repeated every server's
+    // instrumentation inside each collector shard; format 2 recorded a
+    // solver-mode byte) are refused by their version, never misparsed.
+    for old in [1u32, 2] {
+        let mut old_format = snap.clone();
+        old_format[4..8].copy_from_slice(&old.to_le_bytes());
+        match resume_multi_from_bytes(jobs(8, 4), &cfg, &old_format) {
+            Err(SnapshotError::Version { found, expected }) if found == old => {
+                assert_eq!(expected, SNAPSHOT_VERSION)
+            }
+            other => panic!("expected Version mismatch, got {other:?}"),
+        }
     }
 
     // Truncation anywhere is a typed error.
@@ -270,54 +271,79 @@ fn fork_reproduces_cold_start_chaos_run() {
     }
 }
 
+/// A resume reproduces the uninterrupted run from any capture point,
+/// including the many where a rate solve is deferred past the round: the
+/// pending solve travels in the snapshot and runs where it would have, so
+/// the drift the tolerance allows stays at zero.
 #[test]
 fn relaxed_resume_stays_within_tolerance() {
-    let exact = run_multi_scenario(jobs(16, 4), &clean_cfg(5)).into_single();
-
-    let relaxed_cfg = clean_cfg(5).with_relaxed_order(true);
-    let full = run_multi_scenario(jobs(16, 4), &relaxed_cfg);
-    let snap = capture_multi_snapshot(jobs(16, 4), &relaxed_cfg, full.events_processed / 2)
-        .expect("relaxed capture");
-    let resumed = resume_multi_from_bytes(jobs(16, 4), &relaxed_cfg, &snap)
-        .expect("relaxed resume")
-        .into_single();
-
-    let t = compare_tolerance(&exact, &resumed);
-    assert!(
-        t.within_bounds(),
-        "relaxed resumed run left tolerance: {}\n{:#?}",
-        t.summary(),
-        t.violations
-    );
+    let cfg = clean_cfg(5);
+    let full = run_multi_scenario(jobs(16, 4), &cfg);
+    let mid = full.events_processed / 2;
+    for at in mid..mid + 24 {
+        let snap = capture_multi_snapshot(jobs(16, 4), &cfg, at).expect("capture");
+        let resumed = resume_multi_from_bytes(jobs(16, 4), &cfg, &snap).expect("resume");
+        assert_eq!(
+            full.fingerprint(),
+            resumed.fingerprint(),
+            "resume from event {at} diverged from the uninterrupted run"
+        );
+    }
 }
 
-/// The relaxed solver's crash drill, in process: a checkpointing relaxed
-/// run leaves a mid-run checkpoint behind (what a `kill -9` after that
-/// write would leave), and resuming it at the same cadence must finish
-/// with the fingerprint of the uninterrupted checkpointing run.
-/// Checkpoints land at settled solve points, so both runs defer and
-/// settle their solves identically.
+/// The crash drill, in process: a checkpointing run leaves a mid-run
+/// checkpoint behind (what a `kill -9` after that write would leave), and
+/// resuming it at the same cadence must finish with the fingerprint of
+/// the uninterrupted run — checkpointing or not.
 #[test]
 fn relaxed_checkpointed_run_resumes_to_its_fingerprint() {
-    let cfg = clean_cfg(9).with_relaxed_order(true);
+    let cfg = clean_cfg(9);
     let dir = std::env::temp_dir().join(format!("pythia-relaxed-snap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     // One checkpoint, ~60% of the way in: the next one would fall past
     // the end of the run, so the directory keeps a mid-run snapshot.
-    let events = run_multi_scenario(jobs(16, 4), &cfg).events_processed;
+    let plain = run_multi_scenario(jobs(16, 4), &cfg);
+    let events = plain.events_processed;
     let policy = CheckpointPolicy::new(&dir).every_events(events * 3 / 5);
     let checkpointed =
         run_multi_scenario_checkpointed(jobs(16, 4), &cfg, &policy).expect("checkpointed run");
-    assert!(checkpointed.events_processed < 2 * (events * 3 / 5));
+    assert_eq!(plain.fingerprint(), checkpointed.fingerprint());
 
     let resumed =
         resume_multi_scenario(jobs(16, 4), &cfg, &dir, Some(&policy)).expect("resume from disk");
     assert_eq!(
-        checkpointed.fingerprint(),
+        plain.fingerprint(),
         resumed.fingerprint(),
-        "relaxed resume diverged from the uninterrupted checkpointing run"
+        "resume diverged from the uninterrupted run"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A format-2 checkpoint on disk is refused with the typed version error
+/// — ahead of its configuration hash, which format 2 took over the raw
+/// `Debug` string and so no longer matches — never resumed or misparsed.
+#[test]
+fn format_2_checkpoint_is_refused_by_version() {
+    let cfg = clean_cfg(5);
+    let dir = std::env::temp_dir().join(format!("pythia-v2-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let policy = CheckpointPolicy::new(&dir).every_events(60);
+    run_multi_scenario_checkpointed(jobs(16, 4), &cfg, &policy).expect("checkpointed run");
+
+    let (mut manifest, mut bytes) = load_checkpoint(&dir).expect("checkpoint");
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    manifest.version = 2;
+    manifest.config_hash ^= 1;
+    manifest.crc32 = crc32(&bytes);
+    store_checkpoint(&dir, &manifest, &bytes).expect("rewrite");
+    match resume_multi_scenario(jobs(16, 4), &cfg, &dir, None) {
+        Err(SnapshotError::Version { found: 2, expected }) => {
+            assert_eq!(expected, SNAPSHOT_VERSION)
+        }
+        other => panic!("expected a version error, got {other:?}"),
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,10 +7,10 @@
 //! prefix once per variant. This experiment captures the prefix once
 //! with [`pythia_cluster::capture_multi_snapshot`] and forks it onto
 //! each fault schedule with [`pythia_cluster::fork_multi_scenario`],
-//! then verifies the shortcut changed nothing: on the exact solver path
-//! every forked run must be observably identical (canonical report
-//! fingerprint, [`pythia_cluster::Fingerprint`]) to the cold start of the
-//! same schedule.
+//! then verifies the shortcut changed nothing: every forked run must be
+//! observably identical (canonical report fingerprint,
+//! [`pythia_cluster::Fingerprint`]) to the cold start of the same
+//! schedule.
 
 use std::time::Instant;
 
@@ -120,9 +120,8 @@ fn snapshot_time(bytes: &[u8]) -> SimTime {
     pythia_snapshot::Persist::get(&mut s).expect("snapshot clock")
 }
 
-/// Run the fork-vs-cold sweep at 1:20 on the exact solver path (the
-/// identity check is full-report equality, so the order-sensitive exact
-/// solver is pinned).
+/// Run the fork-vs-cold sweep at 1:20 (the identity check is
+/// full-report equality).
 pub fn run(scale: &FigureScale) -> ForkSweepTable {
     let f = scale.input_frac;
     let jobs = move || -> Vec<(JobSpec, SimDuration)> {
@@ -133,8 +132,7 @@ pub fn run(scale: &FigureScale) -> ForkSweepTable {
     let base = ScenarioConfig::default()
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(20)
-        .with_seed(scale.seeds.first().copied().unwrap_or(1))
-        .with_relaxed_order(false);
+        .with_seed(scale.seeds.first().copied().unwrap_or(1));
 
     // Fault-free reference: anchors the outage windows and tells us how
     // many events the run has, so the warm-up stops before any variant's

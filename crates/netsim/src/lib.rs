@@ -13,6 +13,8 @@
 //!   filling), the fluid model standing in for per-packet TCP dynamics;
 //! * [`net`] — [`net::FlowNet`], the live network state machine driven by
 //!   the simulation engine;
+//! * [`deferral`] — when a driver may defer a rate solve, and the
+//!   completion-time tolerance that deferring is held to;
 //! * [`background`] — iperf-style CBR streams emulating over-subscription;
 //! * [`probe`] — NetFlow-style cumulative traffic curves (Figure 5's
 //!   measurement methodology).
@@ -43,6 +45,7 @@
 //! ```
 
 pub mod background;
+pub mod deferral;
 pub mod fairshare;
 pub mod flow;
 pub mod net;
@@ -52,6 +55,10 @@ pub mod routing;
 pub mod topology;
 
 pub use background::{background_flows, redraw_group_rates, BackgroundProfile, OverSubscription};
+pub use deferral::{
+    Deferral, RELAXED_ABS_EPS_SECS, RELAXED_COMPLETION_EPS, RELAXED_CURVE_EPS, RELAXED_DEFER_FRAC,
+    RELAXED_DEFER_MAX,
+};
 pub use fairshare::{max_min_fair, Allocation, FlowPath, CBR_SHARE_LIMIT};
 pub use flow::{FiveTuple, FlowId, FlowKind, FlowSpec, Protocol};
 pub use net::{ActiveFlow, FlowNet, FlowReport};

@@ -3,10 +3,11 @@
 //! [`FlowNet`] is a *pure state machine* — it never schedules events. The
 //! simulation engine drives it with this contract:
 //!
-//! 1. call [`FlowNet::advance_to`] to integrate transferred bytes up to the
-//!    current instant;
+//! 1. call [`FlowNet::advance_to`] to move the clock to the current
+//!    instant and reap the flows whose bytes ran out;
 //! 2. mutate the flow set ([`FlowNet::start_flow`] / [`FlowNet::remove_flow`]);
-//! 3. call [`FlowNet::recompute`] to refresh max-min fair rates;
+//! 3. call [`FlowNet::recompute`] to refresh max-min fair rates — now, or
+//!    after several more mutations (see *deferred solves* below);
 //! 4. ask [`FlowNet::next_completion`] for the earliest projected flow
 //!    completion and schedule a single event there (re-doing steps 1–4 when
 //!    it fires or whenever the flow set changes).
@@ -19,12 +20,11 @@
 //! a component depend only on that component's flows and links, so flows in
 //! untouched components keep their rates verbatim. A single flow departing
 //! from an isolated rack therefore costs `O(component)`, not `O(network)`.
-//! The region is solved in place: progressive filling runs over the
-//! engine's own incidence lists with link- and slot-indexed scratch, set up
-//! as links and flows are discovered. [`FlowNet::full_recompute`] forces
-//! the global problem, and in debug builds every recompute is
-//! cross-checked against the retained reference allocator
-//! ([`max_min_fair`]).
+//! Each component is solved in place: progressive filling runs over the
+//! engine's own incidence lists with link- and slot-indexed scratch.
+//! [`FlowNet::full_recompute`] forces the global problem, and in debug
+//! builds every recompute is cross-checked against the retained reference
+//! allocator ([`max_min_fair`]).
 //!
 //! Completion lookup is indexed: a lazy-deletion binary heap keyed by
 //! projected completion time holds one `(time, flow id, rate epoch, slot)`
@@ -32,8 +32,6 @@
 //! holds that flow at that epoch — checked by indexing the slot table, not
 //! by a lookup in the flow index; a rate change, a completion or a removal
 //! (after which the slot may hold a newer flow) kills it.
-//! [`FlowNet::advance_to`] touches only *metered* flows with a nonzero
-//! allocated rate (see [`FlowNet::meter_sources_only`]).
 //!
 //! # Layered CBR solve
 //!
@@ -45,16 +43,14 @@
 //! (the common case: a shuffle fetch starting or finishing) never touches
 //! a background flow at all.
 //!
-//! # Relaxed-order mode
+//! # Relaxed-order accounting
 //!
-//! [`FlowNet::set_relaxed_order`] switches byte accounting from eager
-//! per-advance integration to *lazy integration at observation points*:
-//! each flow carries a `(rate, since)` segment and each source node a
+//! Bytes are integrated *lazily, at observation points*: each flow
+//! carries a `(rate, since)` segment and each source node a
 //! `(committed, rate_sum, since)` accumulator, folded analytically only
-//! when a rate changes, a completion fires, or a counter is read. This
-//! removes the order dependence that pinned the exact engine's region
-//! walk (bytes no longer accumulate in BFS discovery order), which buys
-//! three things:
+//! when a rate changes, a completion fires, or a counter is read. No
+//! result depends on the order flows are discovered or visited in, which
+//! buys three things:
 //!
 //! * **O(touched) advancement** — [`FlowNet::advance_to`] pops only due
 //!   completion projections instead of integrating every active flow;
@@ -66,9 +62,10 @@
 //!   worker threads); rates are written back in canonical flow-id order,
 //!   so results are bitwise identical for *any* worker count.
 //!
-//! Relaxed results match the exact path within a small relative
-//! tolerance (see `examples/refcheck.rs --tolerance`), not byte for
-//! byte; with the mode off, the exact path is untouched.
+//! A driver that defers solves trades exactness for speed: completion
+//! times then match an eager solve-after-every-mutation integration
+//! within a small tolerance (the netsim oracle property test holds them to
+//! the envelope the cluster crate publishes), not byte for byte.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -88,9 +85,11 @@ pub struct ActiveFlow {
     pub spec: FlowSpec,
     /// The path it currently rides.
     pub path: Path,
-    /// Bytes still to transfer (`None` ⇒ unbounded).
+    /// Bytes still to transfer (`None` ⇒ unbounded), as of the flow's
+    /// last fold (a rate change, its completion or its removal).
     pub remaining_bytes: Option<f64>,
-    /// Bytes moved so far.
+    /// Bytes moved as of the flow's last fold; [`FlowReport`] and
+    /// [`FlowNet::cum_tx_bytes`] are current.
     pub transferred_bytes: f64,
     /// Current allocated rate (bits/sec); valid as of the last `recompute`.
     pub rate_bps: f64,
@@ -131,17 +130,14 @@ struct FlowSlot {
     /// Whether the flow currently contributes load (present in the
     /// flow–link incidence lists). Completed flows are unlinked.
     linked: bool,
-    /// Index into `FlowNet::active`, or `NONE_U32`.
-    active_pos: u32,
     /// Whether this flow's byte counters are observable (bounded, or
     /// sourced at a metered node). Unmetered flows are never integrated.
     metered: bool,
     /// Bumped whenever `rate_bps` changes; completion-heap entries carry
     /// the epoch they were projected under and die with it.
     rate_epoch: u64,
-    /// Relaxed mode: the instant `remaining`/`transferred` were last
-    /// folded to; the flow's rate has been constant since. Unused (and
-    /// never read) by the exact path.
+    /// The instant `remaining`/`transferred` were last folded to; the
+    /// flow's rate has been constant since.
     since: SimTime,
 }
 
@@ -165,9 +161,9 @@ struct LinkEntry {
 /// small multiple of peak total incidence, independent of run length.
 ///
 /// `push` appends and `swap_remove` backfills with the last element —
-/// bit-for-bit the order semantics the per-link `Vec`s had, which matters
-/// because list order feeds region discovery order and therefore the
-/// order flows enter the advance set.
+/// the order semantics the per-link `Vec`s had. No rate or byte depends
+/// on list order (component solves are order-independent and write back
+/// in flow-id order), but snapshots serialize the lists verbatim.
 struct LinkLists {
     data: Vec<LinkEntry>,
     off: Vec<u32>,
@@ -330,7 +326,8 @@ struct FabricView<'a> {
 /// flow on an entered link entered too — because a link's unfrozen count
 /// starts at its incidence-list length. [`Filling::solve`] then runs the
 /// rounds and leaves each flow's rate in `rate[slot]` and each link's
-/// committed load in the caller's `load[link]`.
+/// committed load in the caller's `load[link]`. [`Filling::solve_component`]
+/// does all three for one connected component.
 ///
 /// The arithmetic is the reference allocator's: each round takes the
 /// minimum equal-split share over the links still carrying unfrozen
@@ -497,7 +494,7 @@ pub struct NetStats {
     pub region_links: u64,
     /// Flows pulled into dirty regions, summed over all recomputes.
     pub region_flows: u64,
-    /// Flow integrations performed across all `advance_to` calls.
+    /// Flows folded by `advance_to` (due completion projections).
     pub advance_flow_steps: u64,
     /// Completion-heap entries pushed.
     pub heap_pushes: u64,
@@ -505,8 +502,7 @@ pub struct NetStats {
     pub heap_compactions: u64,
     /// CBR flow rate refreshes performed by the layered background pass.
     pub cbr_flow_updates: u64,
-    /// Connected components solved, summed over all recomputes
-    /// (relaxed-order mode; the exact path solves one joint region).
+    /// Connected components solved, summed over all recomputes.
     pub components: u64,
 }
 
@@ -545,7 +541,7 @@ pub struct FlowNet {
     /// Aggregate requested CBR rate per link, maintained incrementally so
     /// background-traffic redraws never re-derive it from the flow set.
     cbr_requested_bps: Vec<f64>,
-    /// Region solver scratch (exact regions and sequential components).
+    /// Region solver scratch (sequential component solves).
     fill: Filling,
 
     // --- layered CBR (background) solve ---
@@ -576,17 +572,12 @@ pub struct FlowNet {
     /// `(time, flow id, rate_epoch at projection, slot)`. An entry is
     /// live while `slots[slot]` still holds that flow at that epoch.
     heap: BinaryHeap<Reverse<(SimTime, u64, u64, u32)>>,
-    /// Metered slots with a nonzero allocated rate — the only flows
-    /// [`FlowNet::advance_to`] must integrate.
-    active: Vec<u32>,
     /// Reusable output buffers of [`FlowNet::advance_to`].
     advance_completed_slots: Vec<u32>,
     advance_completed: Vec<FlowId>,
     stats: NetStats,
 
-    // --- relaxed-order mode (lazy byte integration, component solves) ---
-    /// Whether lazy, order-independent accounting is enabled.
-    relaxed: bool,
+    // --- lazy byte integration and component solves ---
     /// Worker threads for component solves (≥ 1; 1 ⇒ always sequential).
     solver_workers: usize,
     /// Per-worker filling scratch and link loads, kept across recomputes.
@@ -644,11 +635,9 @@ impl FlowNet {
             region_links: Vec::new(),
             region_slots: Vec::new(),
             heap: BinaryHeap::new(),
-            active: Vec::new(),
             advance_completed_slots: Vec::new(),
             advance_completed: Vec::new(),
             stats: NetStats::default(),
-            relaxed: false,
             solver_workers: 1,
             worker_fill: Vec::new(),
             node_rate_bps: vec![0.0; n_nodes],
@@ -658,26 +647,7 @@ impl FlowNet {
         }
     }
 
-    /// Enable lazy, order-independent byte accounting (see module docs).
-    /// Completion times and curve samples then match the exact path to a
-    /// small relative tolerance rather than byte for byte.
-    ///
-    /// # Panics
-    /// Panics if any flow was already started.
-    pub fn set_relaxed_order(&mut self, on: bool) {
-        assert!(
-            self.index.is_empty(),
-            "set_relaxed_order must be called before flows start"
-        );
-        self.relaxed = on;
-    }
-
-    /// Whether relaxed-order accounting is enabled.
-    pub fn relaxed_order(&self) -> bool {
-        self.relaxed
-    }
-
-    /// Worker threads for relaxed-mode component solves. Results are
+    /// Worker threads for component solves. Results are
     /// bitwise identical for any count (canonical write-back order);
     /// `1` keeps every solve on the calling thread.
     pub fn set_solver_workers(&mut self, n: usize) {
@@ -688,12 +658,11 @@ impl FlowNet {
     /// are always metered — completion detection needs their bytes).
     ///
     /// Unmetered flows still get fair-share rates and consume capacity,
-    /// but [`FlowNet::advance_to`] skips them: their `transferred_bytes`
-    /// stay zero and their source's [`FlowNet::cum_tx_bytes`] counter
-    /// never moves. Call this when only some sources are observed (e.g.
-    /// NetFlow probes on servers while unbounded background streams load
-    /// switch-to-switch trunks) so the per-event integration cost is
-    /// O(observable flows), not O(all flows).
+    /// but are never integrated: their `transferred_bytes` stay zero and
+    /// their source's [`FlowNet::cum_tx_bytes`] counter never moves. Call
+    /// this when only some sources are observed (e.g. NetFlow probes on
+    /// servers while unbounded background streams load switch-to-switch
+    /// trunks) so rate changes on unobserved flows fold nothing.
     ///
     /// # Panics
     /// Panics if any flow was already started.
@@ -762,7 +731,7 @@ impl FlowNet {
         self.index.iter().map(|(&id, &s)| (id, &self.slot(s).flow))
     }
 
-    // --- relaxed-order fold discipline ----------------------------------
+    // --- fold discipline -------------------------------------------------
     //
     // Every metered flow's bytes are a piecewise-linear function of time:
     // constant rate since the last fold. The same holds per source node
@@ -770,13 +739,13 @@ impl FlowNet {
     //
     //  * fold_node(src, t) must run before any change to the rate sum at
     //    `src` and before fold_slot of a flow sourced there;
-    //  * a flow's rate only changes through relaxed_apply_rate (which
-    //    folds first), so `rate · (t − since)` is always exact;
+    //  * a flow's rate only changes through apply_rate (which folds
+    //    first), so `rate · (t − since)` is always exact;
     //  * a bounded flow clamps at its remaining bytes; the node
     //    accumulator integrated the full rate over the interval, so the
     //    clamp excess is subtracted from the committed counter.
 
-    /// Commit `node`'s lazy byte integral up to `t` (relaxed mode).
+    /// Commit `node`'s lazy byte integral up to `t`.
     fn fold_node(&mut self, node: usize, t: SimTime) {
         let dt = t.saturating_since(self.node_since[node]).as_secs_f64();
         if dt > 0.0 {
@@ -785,8 +754,8 @@ impl FlowNet {
         self.node_since[node] = t;
     }
 
-    /// Commit a flow's lazy byte integral up to `t` (relaxed mode). The
-    /// source node must already be folded to `t`.
+    /// Commit a flow's lazy byte integral up to `t`. The source node must
+    /// already be folded to `t`.
     fn fold_slot(&mut self, slot: u32, t: SimTime) {
         let st = self.slots[slot as usize].as_mut().expect("live slot");
         let src = st.flow.spec.tuple.src.0 as usize;
@@ -817,12 +786,12 @@ impl FlowNet {
         }
     }
 
-    /// Relaxed-mode rate assignment: fold the flow (and its source's
-    /// accumulator) to `now`, set the rate, maintain the node rate sum,
-    /// bump the epoch, and (re)project completion. Link loads are *not*
-    /// touched — each caller settles them (the solve write-back installs
-    /// workspace loads wholesale; mutators adjust incrementally).
-    fn relaxed_apply_rate(&mut self, slot: u32, rate: f64) {
+    /// Rate assignment: fold the flow (and its source's accumulator) to
+    /// `now`, set the rate, maintain the node rate sum, bump the epoch,
+    /// and (re)project completion. Link loads are *not* touched — each
+    /// caller settles them (the solve write-back installs workspace loads
+    /// wholesale; mutators adjust incrementally).
+    fn apply_rate(&mut self, slot: u32, rate: f64) {
         let now = self.now;
         let (src, metered, old) = {
             let st = self.slot(slot);
@@ -856,21 +825,24 @@ impl FlowNet {
             }
             _ => None,
         };
-        if rate > 0.0 {
-            self.activate(slot);
-        } else {
-            self.deactivate(slot);
-        }
         if let Some(e) = entry {
             self.stats.heap_pushes += 1;
             self.heap.push(Reverse(e));
         }
     }
 
-    /// Relaxed advance: no per-flow integration — pop every completion
-    /// projection due by `t`, fold just those flows, and re-project the
-    /// rare byte-ceil undershoot strictly later.
-    fn advance_to_relaxed(&mut self, t: SimTime) -> &[FlowId] {
+    /// Move the clock to `t` and return the bounded flows that reached
+    /// zero remaining bytes by then (they stay in the network until
+    /// [`FlowNet::remove_flow`]). No per-flow integration: every
+    /// completion projection due by `t` is popped and just those flows are
+    /// folded; the rare byte-ceil undershoot is re-projected strictly
+    /// later. The returned slice lives in a buffer reused across calls —
+    /// copy it out before advancing again.
+    ///
+    /// # Panics
+    /// Panics if `t` is in the past.
+    pub fn advance_to(&mut self, t: SimTime) -> &[FlowId] {
+        assert!(t >= self.now, "advance_to({t}) before now ({})", self.now);
         let mut completed_slots = std::mem::take(&mut self.advance_completed_slots);
         completed_slots.clear();
         self.now = t;
@@ -915,66 +887,6 @@ impl FlowNet {
         &self.advance_completed
     }
 
-    /// Integrate byte counters up to `t`. Returns the bounded flows that
-    /// reached zero remaining bytes during this advance (they stay in the
-    /// network until [`FlowNet::remove_flow`]). The returned slice lives
-    /// in a buffer reused across calls — copy it out before advancing
-    /// again.
-    ///
-    /// # Panics
-    /// Panics if `t` is in the past or if rates are stale (a flow was added
-    /// or removed without a subsequent [`FlowNet::recompute`]).
-    pub fn advance_to(&mut self, t: SimTime) -> &[FlowId] {
-        assert!(t >= self.now, "advance_to({t}) before now ({})", self.now);
-        if self.relaxed {
-            return self.advance_to_relaxed(t);
-        }
-        assert!(
-            !self.rates_dirty || self.index.is_empty(),
-            "advance_to with stale rates: call recompute() after mutating flows"
-        );
-        let dt = (t - self.now).as_secs_f64();
-        let mut completed_slots = std::mem::take(&mut self.advance_completed_slots);
-        completed_slots.clear();
-        if dt > 0.0 {
-            self.stats.advance_flow_steps += self.active.len() as u64;
-            for i in 0..self.active.len() {
-                let slot = self.active[i];
-                let st = self.slots[slot as usize].as_mut().expect("live slot");
-                let f = &mut st.flow;
-                let delta_bytes = f.rate_bps * dt / 8.0;
-                let moved = match &mut f.remaining_bytes {
-                    Some(rem) if *rem <= 0.0 => 0.0,
-                    Some(rem) => {
-                        let moved = delta_bytes.min(*rem);
-                        *rem -= moved;
-                        if *rem <= 0.0 {
-                            *rem = 0.0;
-                            completed_slots.push(slot);
-                        }
-                        moved
-                    }
-                    None => delta_bytes,
-                };
-                f.transferred_bytes += moved;
-                self.cum_tx_bytes[f.spec.tuple.src.0 as usize] += moved;
-            }
-        }
-        self.now = t;
-        let mut completed = std::mem::take(&mut self.advance_completed);
-        completed.clear();
-        for &slot in &completed_slots {
-            completed.push(self.slot(slot).id);
-        }
-        for &slot in &completed_slots {
-            self.on_flow_completed(slot);
-        }
-        completed.sort_unstable();
-        self.advance_completed_slots = completed_slots;
-        self.advance_completed = completed;
-        &self.advance_completed
-    }
-
     /// The flows currently riding `link` (live, linked flows only; each
     /// appears once), in incidence-list order. A reverse index for
     /// fault handlers: collect, sort, and you have every flow a link
@@ -988,41 +900,38 @@ impl FlowNet {
     }
 
     /// A flow just drained its byte budget: it stops consuming bandwidth
-    /// immediately, frees its share for the next recompute, and leaves the
-    /// hot advance/completion structures.
+    /// immediately and frees its share for the next recompute.
     fn on_flow_completed(&mut self, slot: u32) {
-        if self.relaxed {
-            // The flow is already folded (completion came from a fold);
-            // retire its rate from the lazy node sum and the link loads.
-            let (rate, src, metered) = {
-                let st = self.slot(slot);
-                (
-                    st.flow.rate_bps,
-                    st.flow.spec.tuple.src.0 as usize,
-                    st.metered,
-                )
-            };
-            if rate > 0.0 {
-                if metered {
-                    self.fold_node(src, self.now);
-                    self.node_rate_bps[src] = (self.node_rate_bps[src] - rate).max(0.0);
-                }
-                for k in 0..self.slot_hops.n(slot) {
-                    let l = self.slot_hops.link(slot, k) as usize;
-                    self.link_load_bps[l] = (self.link_load_bps[l] - rate).max(0.0);
-                }
+        // The flow is already folded (completion came from a fold); retire
+        // its rate from the lazy node sum and the link loads.
+        let (rate, src, metered) = {
+            let st = self.slot(slot);
+            (
+                st.flow.rate_bps,
+                st.flow.spec.tuple.src.0 as usize,
+                st.metered,
+            )
+        };
+        if rate > 0.0 {
+            if metered {
+                self.fold_node(src, self.now);
+                self.node_rate_bps[src] = (self.node_rate_bps[src] - rate).max(0.0);
+            }
+            for k in 0..self.slot_hops.n(slot) {
+                let l = self.slot_hops.link(slot, k) as usize;
+                self.link_load_bps[l] = (self.link_load_bps[l] - rate).max(0.0);
             }
         }
         self.mark_flow_links_dirty(slot);
         self.unlink_flow(slot);
-        self.deactivate(slot);
         let st = self.slot_mut(slot);
         st.flow.rate_bps = 0.0;
         st.rate_epoch += 1;
     }
 
     /// Inject a flow on `path`. The path must match the spec's endpoints.
-    /// Rates become stale; call [`FlowNet::recompute`] before advancing.
+    /// An adaptive flow starts at a provisional rate (its path's residual
+    /// capacity) until the next [`FlowNet::recompute`] levels it.
     pub fn start_flow(&mut self, spec: FlowSpec, path: Path) -> FlowId {
         assert_eq!(path.src(), spec.tuple.src, "path/spec source mismatch");
         assert_eq!(path.dst(), spec.tuple.dst, "path/spec destination mismatch");
@@ -1046,7 +955,6 @@ impl FlowNet {
             id,
             flow,
             linked: false,
-            active_pos: NONE_U32,
             metered,
             rate_epoch: 0,
             since: self.now,
@@ -1058,7 +966,7 @@ impl FlowNet {
         if !complete {
             self.link_flow(slot);
             self.mark_flow_links_dirty(slot);
-            if self.relaxed && adaptive {
+            if adaptive {
                 // Provisional admission at the path's residual capacity:
                 // keeps every link feasible and every flow progressing
                 // between deferred solves; the next solve levels it to
@@ -1078,7 +986,7 @@ impl FlowNet {
                         self.link_load_bps[l] += r0;
                     }
                 }
-                self.relaxed_apply_rate(slot, r0);
+                self.apply_rate(slot, r0);
             }
         }
         self.rates_dirty = true;
@@ -1086,7 +994,8 @@ impl FlowNet {
     }
 
     /// Move a live flow onto a new path (SDN re-route). Bytes already
-    /// transferred are kept; rates become stale.
+    /// transferred are kept, and so is the rate until the next
+    /// [`FlowNet::recompute`].
     pub fn reroute_flow(&mut self, id: FlowId, path: Path) {
         let slot = *self.index.get(&id).expect("reroute of unknown flow");
         {
@@ -1105,7 +1014,7 @@ impl FlowNet {
         let rate = self.slot(slot).flow.rate_bps;
         if self.slot(slot).linked {
             self.mark_flow_links_dirty(slot);
-            if self.relaxed && rate > 0.0 {
+            if rate > 0.0 {
                 // The flow keeps its rate across the move (the next solve
                 // re-levels it); shift its committed load to the new path.
                 for k in 0..self.slot_hops.n(slot) {
@@ -1124,7 +1033,7 @@ impl FlowNet {
         if !complete {
             self.link_flow(slot);
             self.mark_flow_links_dirty(slot);
-            if self.relaxed && rate > 0.0 {
+            if rate > 0.0 {
                 for k in 0..self.slot_hops.n(slot) {
                     let l = self.slot_hops.link(slot, k) as usize;
                     self.link_load_bps[l] += rate;
@@ -1172,40 +1081,37 @@ impl FlowNet {
     /// Remove a flow (completed or aborted) and return its accounting.
     pub fn remove_flow(&mut self, id: FlowId) -> FlowReport {
         let slot = self.index.remove(&id).expect("remove of unknown flow");
-        if self.relaxed {
-            // Settle lazy accounting so the report is exact as of now, and
-            // retire an aborted flow's rate (completed flows are already
-            // at rate zero and unlinked).
-            let (rate, src, metered, linked) = {
-                let st = self.slot(slot);
-                (
-                    st.flow.rate_bps,
-                    st.flow.spec.tuple.src.0 as usize,
-                    st.metered,
-                    st.linked,
-                )
-            };
+        // Settle lazy accounting so the report is exact as of now, and
+        // retire an aborted flow's rate (completed flows are already at
+        // rate zero and unlinked).
+        let (rate, src, metered, linked) = {
+            let st = self.slot(slot);
+            (
+                st.flow.rate_bps,
+                st.flow.spec.tuple.src.0 as usize,
+                st.metered,
+                st.linked,
+            )
+        };
+        if metered {
+            self.fold_node(src, self.now);
+        }
+        self.fold_slot(slot, self.now);
+        if rate > 0.0 {
             if metered {
-                self.fold_node(src, self.now);
+                self.node_rate_bps[src] = (self.node_rate_bps[src] - rate).max(0.0);
             }
-            self.fold_slot(slot, self.now);
-            if rate > 0.0 {
-                if metered {
-                    self.node_rate_bps[src] = (self.node_rate_bps[src] - rate).max(0.0);
-                }
-                if linked {
-                    for k in 0..self.slot_hops.n(slot) {
-                        let l = self.slot_hops.link(slot, k) as usize;
-                        self.link_load_bps[l] = (self.link_load_bps[l] - rate).max(0.0);
-                    }
+            if linked {
+                for k in 0..self.slot_hops.n(slot) {
+                    let l = self.slot_hops.link(slot, k) as usize;
+                    self.link_load_bps[l] = (self.link_load_bps[l] - rate).max(0.0);
                 }
             }
         }
-        if self.slot(slot).linked {
+        if linked {
             self.mark_flow_links_dirty(slot);
             self.unlink_flow(slot);
         }
-        self.deactivate(slot);
         let st = self.slots[slot as usize].take().expect("live slot");
         self.free_slots.push(slot);
         self.rates_dirty = true;
@@ -1267,7 +1173,6 @@ impl FlowNet {
         // now) and propagate: its links feed the adaptive layer and need
         // their committed CBR load re-summed.
         let touched = std::mem::take(&mut self.cbr_touched);
-        let now = self.now;
         for &slot in &touched {
             self.cbr_touched_mark[slot as usize] = false;
             let st = self.slots[slot as usize].as_mut().expect("live slot");
@@ -1289,38 +1194,8 @@ impl FlowNet {
             }
             let rate = r * k;
             self.stats.cbr_flow_updates += 1;
-            if self.relaxed {
-                // Same write-back semantics, via the lazy-accounting rate
-                // assignment (fold, node rate sum, epoch, projection).
-                if rate != self.slot(slot).flow.rate_bps {
-                    self.relaxed_apply_rate(slot, rate);
-                }
-                continue;
-            }
-            let st = self.slots[slot as usize].as_mut().expect("live slot");
-            let entry = if rate == st.flow.rate_bps {
-                None
-            } else {
-                st.flow.rate_bps = rate;
-                st.rate_epoch += 1;
-                match st.flow.remaining_bytes {
-                    Some(rem) if rem > 0.0 && rate > 0.0 => {
-                        let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, rate);
-                        Some(Some((now + d, st.id.0, st.rate_epoch, slot)))
-                    }
-                    _ => Some(None),
-                }
-            };
-            if let Some(entry) = entry {
-                if rate > 0.0 {
-                    self.activate(slot);
-                } else {
-                    self.deactivate(slot);
-                }
-                if let Some(e) = entry {
-                    self.stats.heap_pushes += 1;
-                    self.heap.push(Reverse(e));
-                }
+            if rate != self.slot(slot).flow.rate_bps {
+                self.apply_rate(slot, rate);
             }
         }
         let mut touched = touched;
@@ -1350,128 +1225,13 @@ impl FlowNet {
     /// Recompute max-min fair rates for every flow sharing a component of
     /// the flow–link graph with a dirtied link. With no dirty links this
     /// is O(1) (rates cannot have changed).
+    ///
+    /// The dirty set is split into its connected components, each solved
+    /// independently (on scoped worker threads when the region is big
+    /// enough), and rates are written back in canonical flow-id order, so
+    /// the result is bitwise identical for any worker count and any
+    /// discovery order.
     pub fn recompute(&mut self) {
-        if self.relaxed {
-            return self.recompute_relaxed();
-        }
-        self.epoch += 1;
-        self.rates_dirty = false;
-        self.recompute_cbr_layer();
-        if self.dirty_links.is_empty() {
-            return;
-        }
-        // --- Region discovery: BFS over the bipartite flow–link sharing
-        // graph, seeded at the dirty links. Any flow crossing a region
-        // link pulls all of its links into the region, so the region is a
-        // union of whole components and can be solved independently.
-        // Each link and flow enters the filling scratch as it is found.
-        self.fill.fit_slots(self.slots.len());
-        let fabric = FabricView {
-            topo: &self.topo,
-            cbr_load_bps: &self.cbr_load_bps,
-            link_flows: &self.link_flows,
-            slot_hops: &self.slot_hops,
-        };
-        let load = &mut self.link_load_bps[..];
-        self.region_links.clear();
-        self.region_slots.clear();
-        for l in self.dirty_links.drain(..) {
-            self.link_dirty[l as usize] = false;
-            if !self.link_in_region[l as usize] {
-                self.link_in_region[l as usize] = true;
-                self.region_links.push(l);
-                self.fill.add_link(fabric, l, load);
-            }
-        }
-        let mut qi = 0;
-        while qi < self.region_links.len() {
-            let l = self.region_links[qi] as usize;
-            qi += 1;
-            // Only adaptive incidence lives here; CBR flows are solved by
-            // the layered background pass and the adaptive region sees
-            // them only as pre-committed link load.
-            for e in fabric.link_flows.list(l) {
-                if self.flow_in_region[e.slot as usize] {
-                    continue;
-                }
-                self.flow_in_region[e.slot as usize] = true;
-                self.region_slots.push(e.slot);
-                self.fill.add_flow(e.slot);
-                for &l2 in fabric.slot_hops.links(e.slot) {
-                    if !self.link_in_region[l2 as usize] {
-                        self.link_in_region[l2 as usize] = true;
-                        self.region_links.push(l2);
-                        self.fill.add_link(fabric, l2, load);
-                    }
-                }
-            }
-        }
-
-        self.stats.recomputes += 1;
-        self.stats.region_links += self.region_links.len() as u64;
-        self.stats.region_flows += self.region_slots.len() as u64;
-
-        // --- Solve the region in place; link loads land in
-        // `link_load_bps` directly.
-        self.fill.solve(fabric, load);
-
-        // --- Write back rates and completion projections, in discovery
-        // order (it feeds the order of the `active` set).
-        let now = self.now;
-        for fi in 0..self.region_slots.len() {
-            let slot = self.region_slots[fi];
-            let rate = self.fill.rate[slot as usize];
-            let entry = {
-                let st = self.slots[slot as usize].as_mut().expect("live slot");
-                debug_assert!(st.linked && !st.flow.is_complete());
-                debug_assert!(matches!(st.flow.spec.kind, FlowKind::Adaptive));
-                if rate == st.flow.rate_bps {
-                    // Unchanged: existing heap entries and active-set
-                    // membership remain valid.
-                    None
-                } else {
-                    st.flow.rate_bps = rate;
-                    st.rate_epoch += 1;
-                    match st.flow.remaining_bytes {
-                        Some(rem) if rem > 0.0 && rate > 0.0 => {
-                            let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, rate);
-                            Some(Some((now + d, st.id.0, st.rate_epoch, slot)))
-                        }
-                        _ => Some(None),
-                    }
-                }
-            };
-            if let Some(entry) = entry {
-                if rate > 0.0 {
-                    self.activate(slot);
-                } else {
-                    self.deactivate(slot);
-                }
-                if let Some(e) = entry {
-                    self.stats.heap_pushes += 1;
-                    self.heap.push(Reverse(e));
-                }
-            }
-        }
-
-        // --- Reset region marks for the next recompute.
-        for &l in &self.region_links {
-            self.link_in_region[l as usize] = false;
-        }
-        for &slot in &self.region_slots {
-            self.flow_in_region[slot as usize] = false;
-        }
-
-        #[cfg(debug_assertions)]
-        self.assert_matches_reference();
-    }
-
-    /// Relaxed-mode recompute: split the dirty set into its connected
-    /// components, solve each independently (on scoped worker threads when
-    /// the region is big enough), and write rates back in canonical
-    /// flow-id order so the result is bitwise identical for any worker
-    /// count and any discovery order.
-    fn recompute_relaxed(&mut self) {
         self.epoch += 1;
         self.rates_dirty = false;
         self.recompute_cbr_layer();
@@ -1568,7 +1328,7 @@ impl FlowNet {
         for &(_, slot) in &canon {
             let rate = self.fill.rate[slot as usize];
             if rate != self.slot(slot).flow.rate_bps {
-                self.relaxed_apply_rate(slot, rate);
+                self.apply_rate(slot, rate);
             }
         }
         self.canon = canon;
@@ -1672,55 +1432,13 @@ impl FlowNet {
     /// Earliest projected completion among bounded, progressing flows.
     ///
     /// Pops dead heap entries (rate changed, flow completed or removed)
-    /// lazily; takes `&mut self` for exactly that reason.
-    ///
-    /// # Panics
-    /// Panics if rates are stale (exact mode; relaxed projections are
-    /// always valid under the current — possibly provisional — rates).
-    pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
-        if self.relaxed {
-            return self.next_completion_relaxed();
-        }
-        assert!(!self.rates_dirty, "next_completion with stale rates");
-        if self.heap.len() > 64 && self.heap.len() > 4 * self.index.len() {
-            self.compact_heap();
-        }
-        while let Some(&Reverse((t, id, fe, slot))) = self.heap.peek() {
-            let proj =
-                self.heap_entry_flow(id, fe, slot)
-                    .and_then(|st| match st.flow.remaining_bytes {
-                        Some(rem) if rem > 0.0 && st.flow.rate_bps > 0.0 => {
-                            Some((rem, st.flow.rate_bps))
-                        }
-                        _ => None,
-                    });
-            let Some((rem, rate)) = proj else {
-                self.heap.pop();
-                continue;
-            };
-            if t <= self.now {
-                // The projection is not in the future, yet the flow still
-                // has bytes left — byte-ceil rounding drifted across an
-                // advance at an unchanged rate. Re-project from the current
-                // state; the new time is strictly later than `now` (a
-                // nonzero byte count never rounds to a zero duration), so
-                // drivers that advance to the returned time always make
-                // progress.
-                self.heap.pop();
-                let d = SimDuration::for_bytes_at_rate(rem.ceil() as u64, rate);
-                self.heap.push(Reverse((self.now + d, id, fe, slot)));
-                continue;
-            }
-            return Some((t, FlowId(id)));
-        }
-        None
-    }
-
-    /// Relaxed variant: a flow drained by an out-of-advance fold keeps an
+    /// lazily; takes `&mut self` for exactly that reason. Projections are
+    /// valid under the current — possibly provisional — rates. A flow
+    /// drained by a fold outside [`FlowNet::advance_to`] keeps an
     /// immediate entry (returned clamped to `now` so the driver reaps it
-    /// on its next advance), and stale byte-ceil projections fold the flow
-    /// before re-projecting.
-    fn next_completion_relaxed(&mut self) -> Option<(SimTime, FlowId)> {
+    /// on its next advance), and a stale byte-ceil projection folds the
+    /// flow before re-projecting.
+    pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
         if self.heap.len() > 64 && self.heap.len() > 4 * self.index.len() {
             self.compact_heap();
         }
@@ -1794,18 +1512,14 @@ impl FlowNet {
         self.link_load_bps(link) / cap
     }
 
-    /// Cumulative bytes sourced by `node` since the start of the run.
-    /// In relaxed mode the counter is evaluated analytically from the
-    /// node's committed bytes plus its lazy rate-sum segment — reading it
-    /// never forces a fold.
+    /// Cumulative bytes sourced by `node` since the start of the run,
+    /// evaluated analytically from the node's committed bytes plus its
+    /// lazy rate-sum segment — reading it never forces a fold.
     pub fn cum_tx_bytes(&self, node: NodeId) -> f64 {
         let i = node.0 as usize;
         let Some(&committed) = self.cum_tx_bytes.get(i) else {
             return 0.0;
         };
-        if !self.relaxed {
-            return committed;
-        }
         let dt = self.now.saturating_since(self.node_since[i]).as_secs_f64();
         committed + self.node_rate_bps[i] * dt / 8.0
     }
@@ -1901,32 +1615,6 @@ impl FlowNet {
         }
     }
 
-    fn activate(&mut self, slot: u32) {
-        let st = self.slot(slot);
-        if !st.metered {
-            // Nothing observes this flow's bytes: keep it out of the
-            // advance hot set entirely.
-            return;
-        }
-        if st.active_pos == NONE_U32 {
-            self.slot_mut(slot).active_pos = self.active.len() as u32;
-            self.active.push(slot);
-        }
-    }
-
-    fn deactivate(&mut self, slot: u32) {
-        let pos = self.slot(slot).active_pos;
-        if pos == NONE_U32 {
-            return;
-        }
-        self.slot_mut(slot).active_pos = NONE_U32;
-        self.active.swap_remove(pos as usize);
-        if (pos as usize) < self.active.len() {
-            let moved = self.active[pos as usize];
-            self.slot_mut(moved).active_pos = pos;
-        }
-    }
-
     // --- checkpoint / restore -------------------------------------------
 
     /// Serialize the complete network state into an open snapshot section.
@@ -1934,22 +1622,19 @@ impl FlowNet {
     /// Everything observable is written verbatim — float tables are
     /// incrementally maintained accumulations, so re-deriving them would
     /// change bits — and everything order-sensitive keeps its exact order:
-    /// per-link incidence lists (region discovery order), the `active`
-    /// hot set (exact-mode integration order), the free-slot stack
-    /// (future slot assignment), and the completion heap as a full
-    /// multiset *including dead entries* (its length gates compaction).
+    /// per-link incidence lists, the free-slot stack (future slot
+    /// assignment), and the completion heap as a full multiset *including
+    /// dead entries* (its length gates compaction).
     ///
-    /// # Panics
-    /// Panics if rates are stale — checkpoint only a solved network.
+    /// A network with a deferred solve pending is written as it stands:
+    /// provisional rates, dirty links (both layers, in marking order) and
+    /// the stale-rates flag. Checkpointing therefore never forces a solve,
+    /// and a run resumed from the snapshot solves exactly where the
+    /// uninterrupted run would have.
     pub fn put_state(&self, w: &mut SectionWriter) {
-        assert!(
-            !self.rates_dirty && self.dirty_links.is_empty() && self.cbr_dirty_links.is_empty(),
-            "put_state requires a solved network: call recompute() first"
-        );
         self.now.put(w);
         self.epoch.put(w);
         self.next_id.put(w);
-        self.relaxed.put(w);
         let n_links = self.topo.num_links();
         (n_links as u64).put(w);
         for l in 0..n_links {
@@ -2003,8 +1688,10 @@ impl FlowNet {
             .collect();
         heap.sort_unstable();
         heap.put(w);
-        self.active.put(w);
         self.stats.put(w);
+        self.dirty_links.put(w);
+        self.cbr_dirty_links.put(w);
+        self.rates_dirty.put(w);
     }
 
     /// Rebuild a network from a section written by [`FlowNet::put_state`].
@@ -2021,7 +1708,6 @@ impl FlowNet {
         net.now = SimTime::get(r)?;
         net.epoch = u64::get(r)?;
         net.next_id = u64::get(r)?;
-        net.relaxed = bool::get(r)?;
         let n_links = net.topo.num_links();
         let n_nodes = net.topo.num_nodes();
         if u64::get(r)? as usize != n_links {
@@ -2081,7 +1767,6 @@ impl FlowNet {
                 id,
                 flow,
                 linked: bool::get(r)?,
-                active_pos: NONE_U32,
                 metered: bool::get(r)?,
                 rate_epoch: u64::get(r)?,
                 since: SimTime::get(r)?,
@@ -2198,21 +1883,22 @@ impl FlowNet {
                 Reverse((t, id, fe, slot))
             })
             .collect();
-        let active = Vec::<u32>::get(r)?;
-        for (i, &s) in active.iter().enumerate() {
-            let st = net
-                .slots
-                .get_mut(s as usize)
-                .and_then(|o| o.as_mut())
-                .ok_or_else(|| r.malformed("active entry references dead slot"))?;
-            if !st.metered || st.active_pos != NONE_U32 {
-                return Err(r.malformed("active entry invalid or duplicated"));
-            }
-            st.active_pos = i as u32;
-        }
-        net.active = active;
         net.stats = NetStats::get(r)?;
-        net.rates_dirty = false;
+        net.dirty_links = Vec::<u32>::get(r)?;
+        net.cbr_dirty_links = Vec::<u32>::get(r)?;
+        for (list, marks, what) in [
+            (&net.dirty_links, &mut net.link_dirty, "dirty"),
+            (&net.cbr_dirty_links, &mut net.cbr_link_dirty, "CBR-dirty"),
+        ] {
+            for &l in list {
+                match marks.get_mut(l as usize) {
+                    Some(m) if !*m => *m = true,
+                    Some(_) => return Err(r.malformed(format!("{what} link {l} listed twice"))),
+                    None => return Err(r.malformed(format!("{what} link {l} out of range"))),
+                }
+            }
+        }
+        net.rates_dirty = bool::get(r)?;
         Ok(net)
     }
 
@@ -2404,24 +2090,10 @@ mod tests {
         net.advance_to(SimTime::from_millis(400));
         net.reroute_flow(f, cross_rack_path(&mr, 0, 2, 1));
         net.recompute();
-        let af = net.flow(f).unwrap();
-        assert!((af.transferred_bytes - 50_000_000.0).abs() < 1.0);
+        let sent = net.cum_tx_bytes(mr.servers[0]);
+        assert!((sent - 50_000_000.0).abs() < 1.0, "sent {sent}");
         // Completion still at exactly 1 s: same bottleneck rate.
         assert_eq!(net.next_completion().unwrap().0, SimTime::from_secs(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "stale rates")]
-    fn stale_rates_detected() {
-        let mr = small();
-        let mut net = FlowNet::new(mr.topology.clone());
-        let tuple = FiveTuple::tcp(mr.servers[0], mr.servers[2], 40000, 50060);
-        net.start_flow(
-            FlowSpec::tcp_transfer(tuple, 1000),
-            cross_rack_path(&mr, 0, 2, 0),
-        );
-        // recompute() deliberately skipped.
-        net.advance_to(SimTime::from_secs(1));
     }
 
     #[test]
@@ -2499,53 +2171,6 @@ mod tests {
         net.assert_matches_reference();
     }
 
-    /// Drive exact and relaxed nets through the same churn (start, share,
-    /// complete, remove) with a solve after every mutation: rates are then
-    /// identical, so completions and byte counters must agree to rounding.
-    #[test]
-    fn relaxed_matches_exact_through_churn() {
-        let mr = small();
-        let mut exact = FlowNet::new(mr.topology.clone());
-        let mut relaxed = FlowNet::new(mr.topology.clone());
-        relaxed.set_relaxed_order(true);
-        for net in [&mut exact, &mut relaxed] {
-            let t1 = FiveTuple::tcp(mr.servers[0], mr.servers[2], 40000, 50060);
-            let t2 = FiveTuple::tcp(mr.servers[0], mr.servers[3], 40001, 50060);
-            net.start_flow(
-                FlowSpec::tcp_transfer(t1, 62_500_000),
-                cross_rack_path(&mr, 0, 2, 0),
-            );
-            net.start_flow(
-                FlowSpec::tcp_transfer(t2, 125_000_000),
-                cross_rack_path(&mr, 0, 3, 1),
-            );
-            net.recompute();
-        }
-        while let Some((te, fe)) = exact.next_completion() {
-            let (tr, fr) = relaxed.next_completion().unwrap();
-            assert_eq!(fe, fr);
-            let dt = (te.as_secs_f64() - tr.as_secs_f64()).abs();
-            assert!(dt <= 1e-6 * te.as_secs_f64().max(1.0), "dt {dt}");
-            let t = te.max(tr);
-            let de: Vec<FlowId> = exact.advance_to(t).to_vec();
-            let dr: Vec<FlowId> = relaxed.advance_to(t).to_vec();
-            assert_eq!(de, dr);
-            let ce = exact.cum_tx_bytes(mr.servers[0]);
-            let cr = relaxed.cum_tx_bytes(mr.servers[0]);
-            assert!((ce - cr).abs() <= 8.0, "cum {ce} vs {cr}");
-            for id in de {
-                let re = exact.remove_flow(id);
-                let rr = relaxed.remove_flow(id);
-                assert!((re.transferred_bytes - rr.transferred_bytes).abs() <= 8.0);
-                assert_eq!(re.ended_at, t);
-                assert_eq!(rr.ended_at, t);
-            }
-            exact.recompute();
-            relaxed.recompute();
-        }
-        assert!(relaxed.next_completion().is_none());
-    }
-
     /// Many disjoint rack-local components, solved sequentially and with
     /// 4 workers: the canonical write-back makes the results — rates,
     /// loads, byte counters — bitwise identical.
@@ -2561,7 +2186,6 @@ mod tests {
             });
             let t = &mr.topology;
             let mut net = FlowNet::new(t.clone());
-            net.set_relaxed_order(true);
             net.set_solver_workers(workers);
             // 320 rack-local flows in 8+ disjoint components — well past
             // the sequential cutoff.
@@ -2591,15 +2215,14 @@ mod tests {
         assert_eq!((ts, fs), (tp, fp));
     }
 
-    /// A relaxed flow whose bytes drain at a fold outside `advance_to`
-    /// (rate raised mid-flight, shortening the true completion past the
-    /// old ceil projection) must still be reaped by the next advance.
+    /// A flow whose bytes drain at a fold outside `advance_to` (rate
+    /// raised mid-flight, shortening the true completion past the old
+    /// ceil projection) must still be reaped by the next advance.
     #[test]
     fn relaxed_fold_drain_is_reaped() {
         let mr = small();
         let t = &mr.topology;
         let mut net = FlowNet::new(t.clone());
-        net.set_relaxed_order(true);
         let t1 = FiveTuple::tcp(mr.servers[0], mr.servers[2], 40000, 50060);
         let t2 = FiveTuple::tcp(mr.servers[0], mr.servers[3], 40001, 50060);
         let f1 = net.start_flow(
@@ -2625,101 +2248,90 @@ mod tests {
         assert!((rep.transferred_bytes - 62_500_000.0).abs() <= 8.0);
     }
 
-    #[test]
-    #[should_panic(expected = "before flows start")]
-    fn relaxed_toggle_rejected_after_flows() {
-        let mr = small();
-        let mut net = FlowNet::new(mr.topology.clone());
-        let tuple = FiveTuple::tcp(mr.servers[0], mr.servers[2], 40000, 50060);
-        net.start_flow(
-            FlowSpec::tcp_transfer(tuple, 1000),
-            cross_rack_path(&mr, 0, 2, 0),
-        );
-        net.set_relaxed_order(true);
-    }
-
     /// Checkpoint a mid-run network (degraded link, live + completed
-    /// flows, CBR background), restore it into a pristine topology, and
-    /// check: the re-snapshot is byte-identical and both copies finish
-    /// the run with bitwise-equal byte counters.
+    /// flows, CBR background, and a deferred solve still pending), restore
+    /// it into a pristine topology, and check: the re-snapshot is
+    /// byte-identical and both copies finish the run with bitwise-equal
+    /// byte counters.
     #[test]
     fn state_round_trip_resumes_identically() {
         use pythia_snapshot::{Reader, Writer};
-        for relaxed in [false, true] {
-            let mr = small();
-            let t = &mr.topology;
-            let mut net = FlowNet::new(t.clone());
-            if relaxed {
-                net.set_relaxed_order(relaxed);
-            }
-            // CBR background on trunk 1, plus two competing transfers.
-            let trunk1 = t.find_link(mr.tors[0], mr.tors[1], 1).unwrap();
-            net.start_flow(
-                FlowSpec::cbr(FiveTuple::udp(mr.tors[0], mr.tors[1], 1, 2), 0.4e9),
-                Path::new(t, vec![trunk1]).unwrap(),
-            );
-            let t1 = FiveTuple::tcp(mr.servers[0], mr.servers[2], 40000, 50060);
-            let t2 = FiveTuple::tcp(mr.servers[0], mr.servers[3], 40001, 50060);
-            net.start_flow(
-                FlowSpec::tcp_transfer(t1, 62_500_000),
-                cross_rack_path(&mr, 0, 2, 0),
-            );
-            net.start_flow(
-                FlowSpec::tcp_transfer(t2, 125_000_000),
-                cross_rack_path(&mr, 0, 3, 1),
-            );
-            net.recompute();
-            net.advance_to(SimTime::from_millis(300));
-            // A degradation that must survive the round trip.
-            let trunk0 = t.find_link(mr.tors[0], mr.tors[1], 0).unwrap();
-            net.set_link_capacity(trunk0, 0.5e9);
-            net.recompute();
-            net.advance_to(SimTime::from_millis(400));
+        let mr = small();
+        let t = &mr.topology;
+        let mut net = FlowNet::new(t.clone());
+        // CBR background on trunk 1, plus two competing transfers.
+        let trunk1 = t.find_link(mr.tors[0], mr.tors[1], 1).unwrap();
+        net.start_flow(
+            FlowSpec::cbr(FiveTuple::udp(mr.tors[0], mr.tors[1], 1, 2), 0.4e9),
+            Path::new(t, vec![trunk1]).unwrap(),
+        );
+        let t1 = FiveTuple::tcp(mr.servers[0], mr.servers[2], 40000, 50060);
+        let t2 = FiveTuple::tcp(mr.servers[0], mr.servers[3], 40001, 50060);
+        net.start_flow(
+            FlowSpec::tcp_transfer(t1, 62_500_000),
+            cross_rack_path(&mr, 0, 2, 0),
+        );
+        net.start_flow(
+            FlowSpec::tcp_transfer(t2, 125_000_000),
+            cross_rack_path(&mr, 0, 3, 1),
+        );
+        net.recompute();
+        net.advance_to(SimTime::from_millis(300));
+        // A degradation that must survive the round trip.
+        let trunk0 = t.find_link(mr.tors[0], mr.tors[1], 0).unwrap();
+        net.set_link_capacity(trunk0, 0.5e9);
+        net.recompute();
+        net.advance_to(SimTime::from_millis(400));
+        // Mutations whose solve is still deferred at the checkpoint.
+        let t3 = FiveTuple::tcp(mr.servers[1], mr.servers[3], 40002, 50060);
+        net.start_flow(
+            FlowSpec::tcp_transfer(t3, 30_000_000),
+            cross_rack_path(&mr, 1, 3, 0),
+        );
+        net.set_cbr_rate(FlowId(0), 0.6e9);
 
-            let mut w = Writer::new();
-            w.section("net", |s| net.put_state(s));
-            let bytes = w.finish();
-            let mut sec = Reader::new(&bytes).unwrap().section("net").unwrap();
-            let mut restored = FlowNet::get_state(mr.topology.clone(), &mut sec).unwrap();
-            sec.finish().unwrap();
-            assert_eq!(restored.relaxed_order(), relaxed);
-            assert_eq!(
-                restored.topology().link(trunk0).capacity_bps,
-                0.5e9,
-                "degraded capacity must survive restore"
-            );
-            let mut w2 = Writer::new();
-            w2.section("net", |s| restored.put_state(s));
-            assert_eq!(bytes, w2.finish(), "re-snapshot must be byte-identical");
+        let mut w = Writer::new();
+        w.section("net", |s| net.put_state(s));
+        let bytes = w.finish();
+        let mut sec = Reader::new(&bytes).unwrap().section("net").unwrap();
+        let mut restored = FlowNet::get_state(mr.topology.clone(), &mut sec).unwrap();
+        sec.finish().unwrap();
+        assert_eq!(
+            restored.topology().link(trunk0).capacity_bps,
+            0.5e9,
+            "degraded capacity must survive restore"
+        );
+        let mut w2 = Writer::new();
+        w2.section("net", |s| restored.put_state(s));
+        assert_eq!(bytes, w2.finish(), "re-snapshot must be byte-identical");
 
-            // Drive both to completion in lock-step.
-            loop {
-                let a = net.next_completion();
-                let b = restored.next_completion();
-                assert_eq!(a, b);
-                let Some((tc, _)) = a else { break };
-                let da: Vec<FlowId> = net.advance_to(tc).to_vec();
-                let db: Vec<FlowId> = restored.advance_to(tc).to_vec();
-                assert_eq!(da, db);
-                for id in da {
-                    let ra = net.remove_flow(id);
-                    let rb = restored.remove_flow(id);
-                    assert_eq!(
-                        ra.transferred_bytes.to_bits(),
-                        rb.transferred_bytes.to_bits()
-                    );
-                    assert_eq!(ra.ended_at, rb.ended_at);
-                }
-                net.recompute();
-                restored.recompute();
-                assert_eq!(net.epoch(), restored.epoch());
-            }
-            for &s in &mr.servers {
+        // Drive both to completion in lock-step, solving first.
+        loop {
+            net.recompute();
+            restored.recompute();
+            assert_eq!(net.epoch(), restored.epoch());
+            let a = net.next_completion();
+            let b = restored.next_completion();
+            assert_eq!(a, b);
+            let Some((tc, _)) = a else { break };
+            let da: Vec<FlowId> = net.advance_to(tc).to_vec();
+            let db: Vec<FlowId> = restored.advance_to(tc).to_vec();
+            assert_eq!(da, db);
+            for id in da {
+                let ra = net.remove_flow(id);
+                let rb = restored.remove_flow(id);
                 assert_eq!(
-                    net.cum_tx_bytes(s).to_bits(),
-                    restored.cum_tx_bytes(s).to_bits()
+                    ra.transferred_bytes.to_bits(),
+                    rb.transferred_bytes.to_bits()
                 );
+                assert_eq!(ra.ended_at, rb.ended_at);
             }
+        }
+        for &s in &mr.servers {
+            assert_eq!(
+                net.cum_tx_bytes(s).to_bits(),
+                restored.cum_tx_bytes(s).to_bits()
+            );
         }
     }
 
@@ -2828,57 +2440,50 @@ mod tests {
     /// the removal anomaly, and a link degraded to zero capacity.
     #[test]
     fn region_solver_matches_reference_on_pinned_cases() {
-        for relaxed in [false, true] {
-            let mut nets = Vec::new();
-            // Link 0 (10) shared by f0, f1; link 1 (100) by f1, f2.
-            let (t, l) = chain(&[vec![10.0], vec![100.0]]);
+        let mut nets = Vec::new();
+        // Link 0 (10) shared by f0, f1; link 1 (100) by f1, f2.
+        let (t, l) = chain(&[vec![10.0], vec![100.0]]);
+        let mut net = FlowNet::new(t);
+        start_on(&mut net, vec![l[0][0]], None);
+        start_on(&mut net, vec![l[0][0], l[1][0]], None);
+        start_on(&mut net, vec![l[1][0]], None);
+        nets.push(net);
+        // CBR 60 then CBR 500 on a 100 link, beside adaptive flows.
+        for cbr in [60.0, 500.0] {
+            let (t, l) = chain(&[vec![100.0]]);
             let mut net = FlowNet::new(t);
-            net.set_relaxed_order(relaxed);
+            start_on(&mut net, vec![l[0][0]], Some(cbr));
             start_on(&mut net, vec![l[0][0]], None);
-            start_on(&mut net, vec![l[0][0], l[1][0]], None);
-            start_on(&mut net, vec![l[1][0]], None);
-            nets.push(net);
-            // CBR 60 then CBR 500 on a 100 link, beside adaptive flows.
-            for cbr in [60.0, 500.0] {
-                let (t, l) = chain(&[vec![100.0]]);
-                let mut net = FlowNet::new(t);
-                net.set_relaxed_order(relaxed);
-                start_on(&mut net, vec![l[0][0]], Some(cbr));
-                start_on(&mut net, vec![l[0][0]], None);
-                start_on(&mut net, vec![l[0][0]], None);
-                nets.push(net);
-            }
-            // Removal anomaly: A over both links, B on link 0, C on link 1.
-            let (t, l) = chain(&[vec![10.0], vec![2.0]]);
-            let mut net = FlowNet::new(t);
-            net.set_relaxed_order(relaxed);
-            start_on(&mut net, vec![l[0][0], l[1][0]], None);
             start_on(&mut net, vec![l[0][0]], None);
-            start_on(&mut net, vec![l[1][0]], None);
             nets.push(net);
-            // A dead link carrying CBR and an adaptive flow, next to a
-            // live one.
-            let (t, l) = chain(&[vec![40.0], vec![50.0]]);
-            let mut net = FlowNet::new(t);
-            net.set_relaxed_order(relaxed);
-            net.set_link_capacity(l[0][0], 0.0);
-            start_on(&mut net, vec![l[0][0]], Some(5.0));
-            start_on(&mut net, vec![l[0][0], l[1][0]], None);
-            start_on(&mut net, vec![l[1][0]], None);
-            nets.push(net);
-            for net in &mut nets {
-                net.recompute();
-                net.assert_within_reference(1e-9);
-            }
-            // Spot values: the over-subscribed CBR is clamped and TCP
-            // keeps a share; the dead link carries nothing.
-            let rates =
-                |net: &FlowNet| -> Vec<f64> { net.flows().map(|(_, f)| f.rate_bps).collect() };
-            assert_eq!(rates(&nets[0]), vec![5.0, 5.0, 95.0]);
-            let over = rates(&nets[2]);
-            assert!(over[0] <= CBR_SHARE_LIMIT * 100.0 && over[1] > 0.0);
-            assert_eq!(rates(&nets[4])[..2], [0.0, 0.0]);
         }
+        // Removal anomaly: A over both links, B on link 0, C on link 1.
+        let (t, l) = chain(&[vec![10.0], vec![2.0]]);
+        let mut net = FlowNet::new(t);
+        start_on(&mut net, vec![l[0][0], l[1][0]], None);
+        start_on(&mut net, vec![l[0][0]], None);
+        start_on(&mut net, vec![l[1][0]], None);
+        nets.push(net);
+        // A dead link carrying CBR and an adaptive flow, next to a
+        // live one.
+        let (t, l) = chain(&[vec![40.0], vec![50.0]]);
+        let mut net = FlowNet::new(t);
+        net.set_link_capacity(l[0][0], 0.0);
+        start_on(&mut net, vec![l[0][0]], Some(5.0));
+        start_on(&mut net, vec![l[0][0], l[1][0]], None);
+        start_on(&mut net, vec![l[1][0]], None);
+        nets.push(net);
+        for net in &mut nets {
+            net.recompute();
+            net.assert_within_reference(1e-9);
+        }
+        // Spot values: the over-subscribed CBR is clamped and TCP
+        // keeps a share; the dead link carries nothing.
+        let rates = |net: &FlowNet| -> Vec<f64> { net.flows().map(|(_, f)| f.rate_bps).collect() };
+        assert_eq!(rates(&nets[0]), vec![5.0, 5.0, 95.0]);
+        let over = rates(&nets[2]);
+        assert!(over[0] <= CBR_SHARE_LIMIT * 100.0 && over[1] > 0.0);
+        assert_eq!(rates(&nets[4])[..2], [0.0, 0.0]);
     }
 
     /// Random chains with parallel links and mixed CBR/adaptive flows,
@@ -2893,7 +2498,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        for case in 0..50 {
+        for _ in 0..50 {
             let n_hops = 2 + next() % 5;
             let hops: Vec<Vec<f64>> = (0..n_hops)
                 .map(|_| {
@@ -2904,7 +2509,6 @@ mod tests {
                 .collect();
             let (topo, links) = chain(&hops);
             let mut net = FlowNet::new(topo);
-            net.set_relaxed_order(case % 2 == 1);
             let n_flows = 1 + next() % 12;
             let mut ids = Vec::new();
             for i in 0..n_flows {
@@ -2957,45 +2561,42 @@ mod tests {
     #[test]
     fn dead_heap_entry_in_a_reused_slot_is_never_live() {
         use pythia_snapshot::{Reader, Writer};
-        for relaxed in [false, true] {
-            let mr = small();
-            let mut net = FlowNet::new(mr.topology.clone());
-            net.set_relaxed_order(relaxed);
-            // A alone at 1 Gb/s: projected at 0.5 s.
-            let ta = FiveTuple::tcp(mr.servers[0], mr.servers[2], 40000, 50060);
-            let a = net.start_flow(
-                FlowSpec::tcp_transfer(ta, 62_500_000),
-                cross_rack_path(&mr, 0, 2, 0),
-            );
-            net.recompute();
-            let slot = net.index[&a];
-            let a_epoch = net.slot(slot).rate_epoch;
-            net.remove_flow(a);
-            // B reuses the slot, reaches A's epoch and projects at 2 s.
-            let tb = FiveTuple::tcp(mr.servers[1], mr.servers[3], 40001, 50060);
-            let b = net.start_flow(
-                FlowSpec::tcp_transfer(tb, 250_000_000),
-                cross_rack_path(&mr, 1, 3, 1),
-            );
-            net.recompute();
-            assert_eq!(net.index[&b], slot);
-            assert_eq!(net.slot(slot).rate_epoch, a_epoch);
-            let holds_a = |net: &FlowNet| net.heap.iter().any(|e| e.0 .1 == a.0);
-            assert!(holds_a(&net), "A's dead entry must still be queued");
+        let mr = small();
+        let mut net = FlowNet::new(mr.topology.clone());
+        // A alone at 1 Gb/s: projected at 0.5 s.
+        let ta = FiveTuple::tcp(mr.servers[0], mr.servers[2], 40000, 50060);
+        let a = net.start_flow(
+            FlowSpec::tcp_transfer(ta, 62_500_000),
+            cross_rack_path(&mr, 0, 2, 0),
+        );
+        net.recompute();
+        let slot = net.index[&a];
+        let a_epoch = net.slot(slot).rate_epoch;
+        net.remove_flow(a);
+        // B reuses the slot, reaches A's epoch and projects at 2 s.
+        let tb = FiveTuple::tcp(mr.servers[1], mr.servers[3], 40001, 50060);
+        let b = net.start_flow(
+            FlowSpec::tcp_transfer(tb, 250_000_000),
+            cross_rack_path(&mr, 1, 3, 1),
+        );
+        net.recompute();
+        assert_eq!(net.index[&b], slot);
+        assert_eq!(net.slot(slot).rate_epoch, a_epoch);
+        let holds_a = |net: &FlowNet| net.heap.iter().any(|e| e.0 .1 == a.0);
+        assert!(holds_a(&net), "A's dead entry must still be queued");
 
-            let mut w = Writer::new();
-            w.section("net", |s| net.put_state(s));
-            let bytes = w.finish();
-            let mut sec = Reader::new(&bytes).unwrap().section("net").unwrap();
-            let mut restored = FlowNet::get_state(mr.topology.clone(), &mut sec).unwrap();
-            let mut w2 = Writer::new();
-            w2.section("net", |s| restored.put_state(s));
-            assert_eq!(bytes, w2.finish(), "re-snapshot must be byte-identical");
-            assert_eq!(restored.next_completion(), Some((SimTime::from_secs(2), b)));
+        let mut w = Writer::new();
+        w.section("net", |s| net.put_state(s));
+        let bytes = w.finish();
+        let mut sec = Reader::new(&bytes).unwrap().section("net").unwrap();
+        let mut restored = FlowNet::get_state(mr.topology.clone(), &mut sec).unwrap();
+        let mut w2 = Writer::new();
+        w2.section("net", |s| restored.put_state(s));
+        assert_eq!(bytes, w2.finish(), "re-snapshot must be byte-identical");
+        assert_eq!(restored.next_completion(), Some((SimTime::from_secs(2), b)));
 
-            net.compact_heap();
-            assert!(!holds_a(&net), "compaction kept A's dead entry");
-            assert_eq!(net.next_completion(), Some((SimTime::from_secs(2), b)));
-        }
+        net.compact_heap();
+        assert!(!holds_a(&net), "compaction kept A's dead entry");
+        assert_eq!(net.next_completion(), Some((SimTime::from_secs(2), b)));
     }
 }

@@ -38,7 +38,10 @@ pub mod shell;
 /// readers reject other versions with [`SnapshotError::Version`].
 /// Version 2 stores the Pythia per-server instrumentation once, ahead of
 /// the collector shards (version 1 repeated it inside every shard).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 drops the network's solver-mode byte and records a deferred
+/// rate solve as pending (dirty links, the engine's deferral state)
+/// instead of forcing it at the checkpoint.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"PYSN";
 

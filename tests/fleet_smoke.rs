@@ -1,6 +1,6 @@
 //! Fleet smoke tests: the multi-tenant control plane — arrival traces,
 //! per-pod collector shards, epoch-batched rule installs — must run
-//! end-to-end, and the small exact-solver fleet must keep its pinned
+//! end-to-end, and the small single-shard fleet must keep its pinned
 //! fingerprint.
 //!
 //! The k=4 (16-server) smoke always runs. The 1024-server fleet is opt-in
@@ -47,15 +47,13 @@ fn fleet_cfg(k: u32) -> ScenarioConfig {
         .with_seed(11)
 }
 
-/// The k=4 fleet on the relaxed solver (the fleet's production mode):
-/// four collector shards, epoch-batched installs.
+/// The k=4 fleet on four collector shards with epoch-batched installs.
 #[test]
 fn fleet_streams_on_fat_tree_k4() {
     let fleet = small_fleet();
     let cfg = fleet_cfg(4)
         .with_collector_shards(4)
-        .with_install_epoch(SimDuration::from_millis(500))
-        .with_relaxed_order(true);
+        .with_install_epoch(SimDuration::from_millis(500));
     let r = run_multi_scenario(fleet.jobs(), &cfg);
     assert_eq!(r.jobs.len(), fleet.len());
     for j in &r.jobs {
@@ -75,25 +73,23 @@ fn fleet_streams_on_fat_tree_k4() {
     );
 }
 
-/// The k=4 fleet on one collector shard and the exact solver keeps the
-/// fingerprint recorded when the engine still built every job up front:
-/// building each job at its arrival changed nothing observable.
+/// The k=4 fleet on one collector shard keeps its pinned fingerprint,
+/// re-taken once when the relaxed-order solver became the only
+/// accounting mode (it equals what that mode produced while it was still
+/// optional).
 #[test]
 fn single_shard_exact_fleet_fingerprint_is_pinned() {
-    let cfg = fleet_cfg(4)
-        .with_collector_shards(1)
-        .with_relaxed_order(false);
+    let cfg = fleet_cfg(4).with_collector_shards(1);
     let r = run_multi_scenario(small_fleet().jobs(), &cfg);
     assert_eq!(
         r.fingerprint().to_string(),
-        "t=42.707457s ev=805 rules=251 flows=105 #7db7e12ab58074a8"
+        "t=42.707457s ev=797 rules=251 flows=105 #a9c8e8ca16623b69"
     );
 }
 
 /// The 1024-server fleet: ≥1000 jobs on a k=16 fat-tree with 16
 /// collector shards and epoch-batched installs, sustained above
-/// `FLOOR_ALLOWANCE` × `FLEET_1024_FLOOR` calibrated events/sec
-/// (relaxed-order solver, the fleet's production mode).
+/// `FLOOR_ALLOWANCE` × `FLEET_1024_FLOOR` calibrated events/sec.
 #[test]
 fn fleet_1024_sustains_event_rate_gated() {
     if fleet_cap() < 1024 {
@@ -105,8 +101,7 @@ fn fleet_1024_sustains_event_rate_gated() {
     fleet.max_input_bytes = 8u64 << 30;
     let mut cfg = fleet_cfg(16)
         .with_collector_shards(16)
-        .with_install_epoch(SimDuration::from_secs(1))
-        .with_relaxed_order(true);
+        .with_install_epoch(SimDuration::from_secs(1));
     // Fleet telemetry cadence: the paper's 500 ms NetFlow probe is sized
     // for one job on 60 servers; at 1024 servers a long-running fleet
     // samples less often (the gate measures the engine loop, not the

@@ -4,10 +4,9 @@
 //! checkpoint and must finish with the *identical* report fingerprint
 //! the uninterrupted run prints.
 //!
-//! The drill runs the default (exact) solver; the comparison baseline is
-//! itself a checkpointing run at the same cadence. The relaxed solver's
-//! drill runs in process, in pythia-cluster's `snapshot_resume` suite
-//! (`relaxed_checkpointed_run_resumes_to_its_fingerprint`).
+//! The comparison baseline never checkpoints: a checkpoint writes a
+//! deferred rate solve as pending instead of forcing it, so checkpointing
+//! leaves the run bitwise unchanged.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -36,32 +35,31 @@ fn printed_fingerprint(out: &Output) -> String {
 
 /// Shared scenario: small enough for CI, big enough to cross several
 /// checkpoints before the crash point.
+const SCENARIO: [&str; 6] = ["--workload", "sort", "--scale", "0.003", "--seed", "3"];
+
+/// The scenario, checkpointing into `dir` every 20 events.
 fn base_args(dir: &std::path::Path) -> Vec<String> {
-    [
-        "--workload",
-        "sort",
-        "--scale",
-        "0.003",
-        "--seed",
-        "3",
-        "--checkpoint-every-events",
-        "20",
-        "--checkpoint-dir",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .chain([dir.display().to_string()])
-    .collect()
+    SCENARIO
+        .iter()
+        .chain(&["--checkpoint-every-events", "20", "--checkpoint-dir"])
+        .map(|s| s.to_string())
+        .chain([dir.display().to_string()])
+        .collect()
 }
 
 #[test]
 fn killed_run_resumes_to_the_uninterrupted_fingerprint() {
     let dir = tmpdir("drill");
 
-    // Reference: the same checkpointing run, never interrupted.
-    let reference = sim().args(base_args(&dir)).output().expect("spawn");
+    // Reference: the same scenario, never checkpointed or interrupted.
+    let reference = sim().args(SCENARIO).output().expect("spawn");
     assert!(reference.status.success(), "{}", stdout(&reference));
     let want = printed_fingerprint(&reference);
+
+    // An uninterrupted checkpointing run prints the same fingerprint.
+    let checkpointing = sim().args(base_args(&dir)).output().expect("spawn");
+    assert!(checkpointing.status.success(), "{}", stdout(&checkpointing));
+    assert_eq!(printed_fingerprint(&checkpointing), want);
     let _ = std::fs::remove_dir_all(&dir);
 
     // Crash drill: abort() mid-run — the process dies without unwinding,

@@ -1,9 +1,8 @@
 //! Release-only performance gates, one `#[test]` per gate:
 //!
-//! - **Engine floors**: the 60 GB Sort on a fat-tree k=8 (1:10, seed 7),
-//!   exact and relaxed-order, above `FLOOR_ALLOWANCE` × their calibrated
-//!   events/sec floors.
-//! - **Solver share**: on the traced relaxed Sort, the rate solver
+//! - **Engine floor**: the 60 GB Sort on a fat-tree k=8 (1:10, seed 7)
+//!   above `FLOOR_ALLOWANCE` × its calibrated events/sec floor.
+//! - **Solver share**: on the traced Sort, the rate solver
 //!   (`net_recompute`) takes ≤ 15% of wall time.
 //! - **Daemon**: 100k synthetic predictions through the threaded daemon
 //!   above `FLOOR_ALLOWANCE` × its throughput floor and under its p99
@@ -16,8 +15,8 @@
 //! fixed-work calibration factor (`pythia_experiments::calibrate`).
 //! EXPERIMENTS.md ("Retired bench records") has the measurements the
 //! bounds were set from. Debug builds ignore the gates (the reference
-//! cross-check dominates their timing). Run them serially, so the
-//! relaxed solver's worker pool never times against another gate:
+//! cross-check dominates their timing). Run them serially, so the rate
+//! solver's worker pool never times against another gate:
 //!
 //! ```text
 //! cargo test --release --test perf_gates -- --test-threads=1
@@ -34,11 +33,9 @@ use pythia_repro::netsim::{FatTreeParams, FlowId, NodeId};
 use pythia_repro::trace::{Component, Trace, TraceConfig, TraceEvent};
 use pythia_repro::workloads::{SortWorkload, Workload};
 
-/// Calibrated events/sec floor of exact `sort60`: it measured 137.8k
-/// calibrated in the control-plane fast-path session.
-const SORT60_EXACT_FLOOR: f64 = 125_000.0;
-/// Calibrated events/sec floor of relaxed `sort60`: the 5× target over
-/// the 52.4k pre-index engine, measured at 305.8k calibrated.
+/// Calibrated events/sec floor of `sort60` on the relaxed-order solver:
+/// the 5× target over the 52.4k pre-index engine, measured at 305.8k
+/// calibrated.
 const SORT60_RELAXED_FLOOR: f64 = 300_000.0;
 /// Daemon throughput floor: the paper-scale spill rate of a busy Hadoop
 /// fleet, not the ~400 M/hour the daemon sustains.
@@ -46,7 +43,7 @@ const DAEMON_FLOOR_PER_HOUR: f64 = 1_000_000.0;
 /// Daemon p99 ceiling: ~10× the 46 ms queue-wait tail measured at queue
 /// capacity 4096.
 const DAEMON_P99_CEILING_NS: f64 = 500_000_000.0;
-/// Largest share of relaxed Sort wall time the rate solver may take, so
+/// Largest share of Sort wall time the rate solver may take, so
 /// an accidental O(all-flows) solve cannot hide behind the floor's
 /// allowance.
 const SOLVER_SHARE_BUDGET: f64 = 0.15;
@@ -67,7 +64,7 @@ fn mean_ns(passes: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// The paper's 60 GB Sort scenario: fat-tree k=8, 1:10, seed 7.
-fn sort60(relaxed: bool) -> ScenarioConfig {
+fn sort60() -> ScenarioConfig {
     ScenarioConfig::default()
         .with_topology(FatTreeParams {
             k: 8,
@@ -76,20 +73,16 @@ fn sort60(relaxed: bool) -> ScenarioConfig {
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
         .with_seed(7)
-        .with_relaxed_order(relaxed)
 }
 
 #[cfg_attr(debug_assertions, ignore = "timing gate: release builds only")]
 #[test]
 fn engine_floors() {
-    let rows = [
-        ("sort60_fat8_pythia", false, SORT60_EXACT_FLOOR),
-        ("sort60_fat8_pythia_relaxed", true, SORT60_RELAXED_FLOOR),
-    ];
+    let rows = [("sort60_fat8_pythia", SORT60_RELAXED_FLOOR)];
     let sort = SortWorkload::paper_60gb();
     let mut misses = Vec::new();
-    for (row, relaxed, floor) in rows {
-        let cfg = sort60(relaxed);
+    for (row, floor) in rows {
+        let cfg = sort60();
         // The warm-up pass; the run is deterministic, so its event count
         // is every timed pass's.
         let events = run_scenario(sort.job(), &cfg).events_processed;
@@ -118,7 +111,7 @@ fn engine_floors() {
 fn relaxed_solver_share() {
     // Share is drift-immune (solver time and wall move together with the
     // host), so it is not calibrated.
-    let cfg = sort60(true).with_trace(TraceConfig::enabled());
+    let cfg = sort60().with_trace(TraceConfig::enabled());
     let start = Instant::now();
     let r = run_scenario(SortWorkload::paper_60gb().job(), &cfg);
     let wall_ns = start.elapsed().as_nanos() as f64;
@@ -137,7 +130,7 @@ fn relaxed_solver_share() {
     );
     assert!(
         share <= SOLVER_SHARE_BUDGET,
-        "solver share {:.1}% of relaxed sort60 wall exceeds the {:.0}% budget",
+        "solver share {:.1}% of sort60 wall exceeds the {:.0}% budget",
         share * 100.0,
         SOLVER_SHARE_BUDGET * 100.0
     );

@@ -2,14 +2,10 @@
 //! prints them) so refactors that are supposed to be behavior-preserving
 //! — the lazy path cache, the residual table, the structural Clos
 //! enumerator — cannot silently drift the fault-free simulation path.
-//! The headline numbers of each pin were produced by the eager
-//! pre-refactor control plane; the hash is the canonical report
-//! fingerprint over everything else the run observed.
-//!
-//! Every scenario pins `.with_relaxed_order(false)`: these fingerprints
-//! define the exact accounting path, which must stay byte-identical. The
-//! relaxed solver is held to the tolerance bounds in
-//! `tests/relaxed_tolerance.rs` instead.
+//! The hash is the canonical report fingerprint over everything the run
+//! observed. The pins were re-taken once when the relaxed-order solver
+//! became the only accounting mode; each equals what that mode produced
+//! for the same scenario while it was still optional.
 
 use pythia_repro::cluster::{run_multi_scenario, run_scenario, ScenarioConfig, SchedulerKind};
 use pythia_repro::des::SimDuration;
@@ -40,33 +36,32 @@ fn reference_fingerprints_are_stable() {
             SchedulerKind::Pythia,
             20,
             42,
-            "t=19.487058s ev=567 rules=112 flows=288 #cf04588727901e15",
+            "t=19.643507s ev=564 rules=112 flows=288 #95edadf768f197cc",
         ),
         (
             SchedulerKind::Pythia,
             10,
             7,
-            "t=16.630084s ev=571 rules=112 flows=288 #550ecb6063a272b6",
+            "t=16.639711s ev=555 rules=112 flows=288 #13a69547a7ef6800",
         ),
         (
             SchedulerKind::Ecmp,
             20,
             42,
-            "t=46.573418s ev=496 rules=0 flows=288 #918153d813c61364",
+            "t=47.053436s ev=498 rules=0 flows=288 #5b6190a122993218",
         ),
         (
             SchedulerKind::Hedera,
             10,
             1,
-            "t=17.705975s ev=409 rules=0 flows=288 #867dd0114bc776ff",
+            "t=17.109296s ev=408 rules=0 flows=288 #9ae91243742188e5",
         ),
     ];
     for (kind, ratio, seed, want) in expected {
         let cfg = ScenarioConfig::default()
             .with_scheduler(kind)
             .with_oversubscription(ratio)
-            .with_seed(seed)
-            .with_relaxed_order(false);
+            .with_seed(seed);
         let r = run_scenario(ref_job(), &cfg);
         assert_eq!(
             r.fingerprint().to_string(),
@@ -98,11 +93,10 @@ fn fat_tree_multi_job_fingerprint_is_stable() {
         })
         .with_scheduler(SchedulerKind::Pythia)
         .with_oversubscription(10)
-        .with_seed(42)
-        .with_relaxed_order(false);
+        .with_seed(42);
     let r = run_multi_scenario(jobs, &cfg);
     assert_eq!(
         r.fingerprint().to_string(),
-        "t=14.832763s ev=1553 rules=1072 flows=296 #b9bd9acbe802b177"
+        "t=14.845026s ev=1545 rules=1072 flows=296 #5eb4d1737d7aab4c"
     );
 }
