@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use pythia_baselines::{EcmpForwarding, HederaScheduler};
 use pythia_core::{overhead, MgmtNet, PredictionMsg, PythiaSystem};
-use pythia_des::{EventId, EventQueue, RngFactory, SimDuration, SimTime};
+use pythia_des::{EventId, EventQueue, FastMap, FastSet, RngFactory, SimDuration, SimTime};
 use pythia_hadoop::{FetchId, HadoopEvent, JobId, MapReduceSim, MapTaskId, ReducerId, ServerId};
 use pythia_metrics::{DegradationReport, FlowTrace, ShuffleFlowRecord};
 use pythia_netsim::{
@@ -781,7 +781,7 @@ struct Engine<'a> {
     bg_groups: Vec<BgGroup>,
     bg_rng: rand::rngs::SmallRng,
     /// Directed links currently down (both directions of failed cables).
-    down_links: std::collections::HashSet<LinkId>,
+    down_links: FastSet<LinkId>,
     /// Original capacities, for restoration.
     orig_capacity: Vec<f64>,
     wire_seed: u64,
@@ -823,7 +823,7 @@ struct Engine<'a> {
     /// pair-level rules and ECMP only consults the full 5-tuple where
     /// several equal-cost hops exist, so most resolutions are pair-pure
     /// and repeat across the many fetches of a server pair.
-    path_cache: std::collections::HashMap<(NodeId, NodeId), CachedPath>,
+    path_cache: FastMap<(NodeId, NodeId), CachedPath>,
     /// Bumped whenever default (ECMP) forwarding reconverges; invalidates
     /// the path cache alongside the dataplane rule epoch.
     routing_epoch: u64,
@@ -965,7 +965,7 @@ impl<'a> Engine<'a> {
             trace: FlowTrace::default(),
             bg_groups,
             bg_rng: rngs.stream("background-fluctuation"),
-            down_links: std::collections::HashSet::new(),
+            down_links: FastSet::default(),
             orig_capacity: (0..mr.topology.num_links())
                 .map(|l| mr.topology.link(LinkId(l as u32)).capacity_bps)
                 .collect(),
@@ -984,7 +984,7 @@ impl<'a> Engine<'a> {
             controller_outages_seen: 0,
             rule_generation: 0,
             deferral: Deferral::default(),
-            path_cache: std::collections::HashMap::new(),
+            path_cache: FastMap::default(),
             routing_epoch: 0,
             completed_scratch: Vec::new(),
             hadoop_scratch: Vec::new(),

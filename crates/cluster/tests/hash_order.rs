@@ -1,11 +1,13 @@
 //! Hash order never reaches observable state.
 //!
 //! The collector, allocator and controller key their per-message state by
-//! hash, and every `HashMap` draws its own random hasher seed. Two
-//! [`ServiceCore`]s built in one process therefore iterate their maps in
-//! different orders. Replaying one tapped control stream through both
-//! must still produce identical rules and identical snapshot bytes at
-//! every checkpoint, because every output that walks a map sorts first.
+//! hash, in `pythia_des::FastMap`s whose multiply-rotate hasher takes a
+//! fresh seed per map (a per-process random base mixed with a per-map
+//! counter). Two [`ServiceCore`]s built in one process therefore iterate
+//! their maps in different orders. Replaying one tapped control stream
+//! through both must still produce identical rules and identical snapshot
+//! bytes at every checkpoint, because every output that walks a map sorts
+//! first.
 //! The CRC over all checkpoint snapshots is pinned as well, so the
 //! snapshot bytes themselves cannot move unnoticed.
 

@@ -9,7 +9,9 @@
 //! * [`EventQueue`] — a deterministic future-event set with O(log n) push,
 //!   lazy O(1) cancellation, and FIFO ordering for simultaneous events;
 //! * [`RngFactory`] — named, reproducible random streams derived from one
-//!   master seed.
+//!   master seed;
+//! * [`FastMap`] / [`FastSet`] — hash tables with a seeded multiply-rotate
+//!   hasher, one seed per table.
 //!
 //! Domain crates (`pythia-netsim`, `pythia-hadoop`, …) are written as pure
 //! state machines; only `pythia-cluster` runs an actual event loop on top
@@ -33,11 +35,13 @@
 //! # let _ = early;
 //! ```
 
+pub mod hash;
 pub mod persist;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
+pub use hash::{FastMap, FastSet, FastState};
 pub use persist::{get_rng, put_rng};
 pub use queue::{EventId, EventQueue};
 pub use rng::{fnv1a64, splitmix64, Fnv1a64, RngFactory};

@@ -11,8 +11,9 @@
 //! estimates" (see the flow simulator).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
+use crate::hash::FastSet;
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
@@ -52,12 +53,13 @@ impl<E> Ord for HeapEntry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     /// Live event ids. Removed on pop or cancel.
-    live: HashSet<EventId>,
+    live: FastSet<EventId>,
     /// Most live events ever held at once. `live` keeps room for twice
     /// this many, so once the tombstones its removals leave exhaust its
     /// free slots it always cleans them by rehashing in place, never by
     /// growing: a steady push/cancel/pop cycle allocates nothing, however
-    /// the per-process hash seed places its keys.
+    /// this set's own hash seed (drawn per table, see [`FastSet`]) places
+    /// its keys.
     live_high_water: usize,
     next_seq: u64,
     /// Dead entries still physically in the heap.
@@ -80,7 +82,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
+            live: FastSet::default(),
             live_high_water: 0,
             next_seq: 0,
             cancelled: 0,

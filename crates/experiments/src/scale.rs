@@ -147,7 +147,7 @@ const EAGER_FULL_LIMIT: usize = 20_000;
 fn measure_eager_ms(mr: &pythia_netsim::MultiRack, k_paths: usize) -> (f64, bool) {
     let servers = &mr.servers;
     let pairs = servers.len() * (servers.len() - 1);
-    let empty = std::collections::HashSet::new();
+    let empty = pythia_des::FastSet::default();
     if pairs <= EAGER_FULL_LIMIT {
         let t0 = Instant::now();
         for &s in servers.iter() {

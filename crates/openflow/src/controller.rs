@@ -15,9 +15,9 @@
 //!   with a hardware programming latency in the 3–5 ms/flow budget the
 //!   paper measures for contemporary switches (§V-C).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
-use pythia_des::{get_rng, put_rng, RngFactory, SimDuration};
+use pythia_des::{get_rng, put_rng, FastMap, FastSet, FastState, RngFactory, SimDuration};
 use pythia_netsim::persist::{get_path, put_path};
 use pythia_netsim::{ClosStructure, LinkId, NodeId, Path, Topology};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
@@ -106,7 +106,7 @@ pub struct Controller {
     clos: Option<ClosStructure>,
     /// Memoized k-shortest paths per pair. Hash-keyed: only
     /// [`Controller::put_state`] walks it, in pair order.
-    path_cache: HashMap<(NodeId, NodeId), Vec<Path>>,
+    path_cache: FastMap<(NodeId, NodeId), Vec<Path>>,
     /// Reverse index: link → pairs whose cached paths traverse it. May
     /// hold stale entries (pair since evicted or recomputed around the
     /// link); invalidation tolerates them. Invariant: a cached pair
@@ -115,7 +115,7 @@ pub struct Controller {
     /// Pairs computed while at least one link was down. Any link-up may
     /// expose better paths for them, so they are all invalidated then.
     avoided_pairs: Vec<(NodeId, NodeId)>,
-    down_links: HashSet<LinkId>,
+    down_links: FastSet<LinkId>,
     /// Bumped whenever cached paths may change under a caller's feet —
     /// topology events and snapshot restores, not lazy first-use fills
     /// (a first fill creates the pair, so no caller can hold stale
@@ -158,10 +158,10 @@ impl Controller {
             topo,
             servers,
             clos,
-            path_cache: HashMap::new(),
+            path_cache: FastMap::default(),
             link_pairs: vec![Vec::new(); n_links],
             avoided_pairs: Vec::new(),
-            down_links: HashSet::new(),
+            down_links: FastSet::default(),
             paths_epoch: 0,
             load_ewma_bps: vec![0.0; n_links],
             rng: rngs.stream("controller-install-latency"),
@@ -298,7 +298,7 @@ impl Controller {
     }
 
     /// Links currently marked down by topology events.
-    pub fn down_links(&self) -> &HashSet<LinkId> {
+    pub fn down_links(&self) -> &FastSet<LinkId> {
         &self.down_links
     }
 
@@ -428,7 +428,7 @@ impl Controller {
         let n_nodes = self.topo.num_nodes();
         let n_links = self.topo.num_links();
         let pairs = u64::get(r)? as usize;
-        let mut cache: HashMap<(NodeId, NodeId), Vec<Path>> = HashMap::new();
+        let mut cache: FastMap<(NodeId, NodeId), Vec<Path>> = FastMap::default();
         for _ in 0..pairs {
             let src = NodeId::get(r)?;
             let dst = NodeId::get(r)?;
@@ -491,7 +491,7 @@ impl Controller {
                 return Err(r.malformed("down-link set not sorted/unique"));
             }
         }
-        let mut down_links = HashSet::with_capacity(down.len());
+        let mut down_links = FastSet::with_capacity_and_hasher(down.len(), FastState::default());
         for &l in &down {
             if l.0 as usize >= n_links {
                 return Err(r.malformed(format!("down link {} out of range", l.0)));

@@ -8,8 +8,7 @@
 //! The table has finite capacity, modelling the scarce TCAM the paper's
 //! flow-aggregation design is motivated by (§IV).
 
-use std::collections::{HashMap, HashSet};
-
+use pythia_des::{FastMap, FastSet, FastState};
 use pythia_netsim::{FiveTuple, LinkId};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
 
@@ -68,7 +67,7 @@ pub struct FlowTable {
     /// order is the same one the full scan would pick, whatever the chain
     /// order. `install` finds its duplicate `(matcher, priority)` —
     /// unique in the table — through the same index.
-    pair_head: HashMap<(u32, u32), u32>,
+    pair_head: FastMap<(u32, u32), u32>,
     wild_index: Vec<u32>,
     index_dirty: bool,
 }
@@ -84,7 +83,7 @@ impl FlowTable {
             next_seq: 0,
             lookups: 0,
             misses: 0,
-            pair_head: HashMap::new(),
+            pair_head: FastMap::default(),
             wild_index: Vec::new(),
             index_dirty: false,
         }
@@ -197,7 +196,7 @@ impl FlowTable {
     /// link those output to — in one pass over the table. Returns how
     /// many were removed.
     pub fn remove_via(&mut self, link: LinkId) -> usize {
-        let dead: HashSet<FlowMatch> = self
+        let dead: FastSet<FlowMatch> = self
             .entries
             .iter()
             .filter(|e| e.rule.out_link == link)
@@ -301,7 +300,7 @@ impl Persist for FlowTable {
         }
         let mut entries = Vec::with_capacity(n);
         let mut seqs = std::collections::BTreeSet::new();
-        let mut keys = std::collections::HashSet::with_capacity(n);
+        let mut keys = FastSet::with_capacity_and_hasher(n, FastState::default());
         for _ in 0..n {
             let rule = FlowRule::get(r)?;
             let seq = u64::get(r)?;
@@ -326,7 +325,7 @@ impl Persist for FlowTable {
             next_seq,
             lookups,
             misses,
-            pair_head: HashMap::new(),
+            pair_head: FastMap::default(),
             wild_index: Vec::new(),
             index_dirty: true,
         })

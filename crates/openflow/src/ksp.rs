@@ -9,8 +9,9 @@
 //! allocator spreads load across.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 
+use pythia_des::FastSet;
 use pythia_netsim::{LinkId, NodeId, Path, Topology};
 
 /// Hop-count Dijkstra from `src` to `dst`, avoiding `banned_links` and
@@ -20,8 +21,8 @@ pub fn shortest_path(
     topo: &Topology,
     src: NodeId,
     dst: NodeId,
-    banned_links: &HashSet<LinkId>,
-    banned_nodes: &HashSet<NodeId>,
+    banned_links: &FastSet<LinkId>,
+    banned_nodes: &FastSet<NodeId>,
 ) -> Option<Path> {
     if src == dst || banned_nodes.contains(&src) || banned_nodes.contains(&dst) {
         return None;
@@ -76,7 +77,7 @@ pub fn shortest_path(
 /// Yen's algorithm: up to `k` loop-free shortest paths from `src` to
 /// `dst`, ordered by hop count (then by deterministic discovery order).
 pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    k_shortest_paths_avoiding(topo, src, dst, k, &HashSet::new())
+    k_shortest_paths_avoiding(topo, src, dst, k, &FastSet::default())
 }
 
 /// [`k_shortest_paths`] excluding `avoid_links` (down links after a
@@ -86,10 +87,10 @@ pub fn k_shortest_paths_avoiding(
     src: NodeId,
     dst: NodeId,
     k: usize,
-    avoid_links: &HashSet<LinkId>,
+    avoid_links: &FastSet<LinkId>,
 ) -> Vec<Path> {
     let mut result: Vec<Path> = Vec::new();
-    let no_nodes = HashSet::new();
+    let no_nodes = FastSet::default();
     let Some(first) = shortest_path(topo, src, dst, avoid_links, &no_nodes) else {
         return result;
     };
@@ -105,14 +106,14 @@ pub fn k_shortest_paths_avoiding(
             let root_links: Vec<LinkId> = prev.links()[..i].to_vec();
             // Ban links that would recreate an already-found path with the
             // same root.
-            let mut banned_links: HashSet<LinkId> = avoid_links.clone();
+            let mut banned_links: FastSet<LinkId> = avoid_links.clone();
             for p in &result {
                 if p.links().len() > i && p.links()[..i] == root_links[..] {
                     banned_links.insert(p.links()[i]);
                 }
             }
             // Ban root nodes (except the spur node) to keep paths simple.
-            let banned_nodes: HashSet<NodeId> = prev_nodes[..i].iter().copied().collect();
+            let banned_nodes: FastSet<NodeId> = prev_nodes[..i].iter().copied().collect();
             if let Some(spur) = shortest_path(topo, spur_node, dst, &banned_links, &banned_nodes) {
                 let mut links = root_links.clone();
                 links.extend_from_slice(spur.links());
@@ -164,12 +165,12 @@ pub struct EcmpNextHops {
 impl EcmpNextHops {
     /// Compute next-hop sets toward every server in the topology.
     pub fn compute(topo: &Topology) -> Self {
-        Self::compute_avoiding(topo, &HashSet::new())
+        Self::compute_avoiding(topo, &FastSet::default())
     }
 
     /// [`EcmpNextHops::compute`] excluding `down_links` — what a routing
     /// protocol converges to after a link failure.
-    pub fn compute_avoiding(topo: &Topology, down_links: &HashSet<LinkId>) -> Self {
+    pub fn compute_avoiding(topo: &Topology, down_links: &FastSet<LinkId>) -> Self {
         let n = topo.num_nodes();
         // Reverse adjacency once: incoming (src, link) per node, link order.
         let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); n];
@@ -258,8 +259,8 @@ mod tests {
             &mr.topology,
             mr.servers[0],
             mr.servers[5],
-            &HashSet::new(),
-            &HashSet::new(),
+            &FastSet::default(),
+            &FastSet::default(),
         )
         .unwrap();
         assert_eq!(p.hops(), 3);
@@ -274,8 +275,8 @@ mod tests {
             &mr.topology,
             mr.servers[0],
             mr.servers[1],
-            &HashSet::new(),
-            &HashSet::new(),
+            &FastSet::default(),
+            &FastSet::default(),
         )
         .unwrap();
         assert_eq!(p.hops(), 2);
@@ -333,9 +334,8 @@ mod tests {
         let mr = build_multi_rack(&MultiRackParams::default());
         let t = &mr.topology;
         let trunk0 = t.find_link(mr.tors[0], mr.tors[1], 0).unwrap();
-        let mut banned = HashSet::new();
-        banned.insert(trunk0);
-        let p = shortest_path(t, mr.servers[0], mr.servers[5], &banned, &HashSet::new()).unwrap();
+        let (banned, none) = (FastSet::from_iter([trunk0]), FastSet::default());
+        let p = shortest_path(t, mr.servers[0], mr.servers[5], &banned, &none).unwrap();
         assert!(!p.contains_link(trunk0));
         assert_eq!(p.hops(), 3);
     }
@@ -345,10 +345,11 @@ mod tests {
         let mr = build_multi_rack(&MultiRackParams::default());
         let t = &mr.topology;
         // Ban both trunks in the forward direction: rack 0 can't reach rack 1.
-        let banned: HashSet<LinkId> = (0..2)
+        let banned: FastSet<LinkId> = (0..2)
             .map(|i| t.find_link(mr.tors[0], mr.tors[1], i).unwrap())
             .collect();
-        assert!(shortest_path(t, mr.servers[0], mr.servers[5], &banned, &HashSet::new()).is_none());
+        let none = FastSet::default();
+        assert!(shortest_path(t, mr.servers[0], mr.servers[5], &banned, &none).is_none());
     }
 
     #[test]

@@ -108,7 +108,7 @@ mod tests {
         assert_eq!(paths.len(), 4);
         assert!(paths.iter().all(|p| p.hops() == 6));
         // First w paths share no trunk (switch-to-switch) links.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = pythia_des::FastSet::default();
         for p in &paths {
             for &l in &p.links()[1..p.hops() - 1] {
                 assert!(seen.insert(l), "trunk link reused across first w paths");

@@ -4,10 +4,8 @@
 //! fat-trees must produce exactly the equal-cost path sets the topology
 //! guarantees by symmetry.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
-use pythia_des::RngFactory;
+use pythia_des::{FastSet, RngFactory};
 use pythia_netsim::{build_fat_tree, build_multi_rack, FatTreeParams, MultiRackParams};
 use pythia_openflow::{
     clos_paths, k_shortest_paths_avoiding, Controller, ControllerConfig, EcmpNextHops,
@@ -34,7 +32,7 @@ proptest! {
         let mr = build_multi_rack(&p);
         let cfg = ControllerConfig { k_paths: k, ..ControllerConfig::default() };
         let mut ctl = Controller::new(mr.topology.clone(), cfg, &RngFactory::new(1));
-        let empty = HashSet::new();
+        let empty = FastSet::default();
         for &s in mr.servers.iter() {
             for &d in mr.servers.iter() {
                 if s == d {
@@ -117,7 +115,7 @@ fn structural_invariants_on_fat_trees() {
                 assert!(paths.iter().all(|p| p.hops() == hops));
                 assert!(matches!(hops, 2 | 4 | 6), "unexpected hop count {hops}");
                 // Pairwise distinct, valid, loop-free.
-                let mut seen = HashSet::new();
+                let mut seen = FastSet::default();
                 for p in &paths {
                     assert_eq!(p.src(), s);
                     assert_eq!(p.dst(), d);
@@ -127,7 +125,7 @@ fn structural_invariants_on_fat_trees() {
                 // The first w paths share no interior (non-NIC) link:
                 // trunk-disjointness is what gives ECMP its spreading.
                 if hops > 2 {
-                    let mut interior = HashSet::new();
+                    let mut interior = FastSet::default();
                     for p in paths.iter().take(w) {
                         for &l in &p.links()[1..p.links().len() - 1] {
                             assert!(interior.insert(l), "trunk link shared between paths");
@@ -136,7 +134,8 @@ fn structural_invariants_on_fat_trees() {
                 }
                 // Yen agrees on the minimum: structural paths are all
                 // shortest paths, so Yen's best path has the same hops.
-                let yen = k_shortest_paths_avoiding(&mr.topology, s, d, k_paths, &HashSet::new());
+                let yen =
+                    k_shortest_paths_avoiding(&mr.topology, s, d, k_paths, &FastSet::default());
                 assert_eq!(yen[0].hops(), hops, "structural paths are not shortest");
                 assert_eq!(
                     yen.len(),
@@ -174,7 +173,7 @@ fn controller_structural_and_fallback_agree() {
     let dead = structural[0].links()[2];
     ctl.on_link_state(dead, false);
     let degraded: Vec<_> = ctl.paths(src, dst).to_vec();
-    let mut avoid = HashSet::new();
+    let mut avoid = FastSet::default();
     avoid.insert(dead);
     assert_eq!(
         degraded,

@@ -1,9 +1,8 @@
 //! Property tests for the routing algorithms on randomized multi-rack
 //! topologies, and for the flow table against a naive reference model.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
+use pythia_des::FastSet;
 use pythia_netsim::{build_multi_rack, FiveTuple, LinkId, MultiRackParams, NodeId, Protocol};
 use pythia_openflow::{
     k_shortest_paths, k_shortest_paths_avoiding, shortest_path, EcmpNextHops, FlowMatch, FlowRule,
@@ -36,7 +35,7 @@ proptest! {
         prop_assert!(!paths.is_empty());
         let expected_direct = (p.trunk_count as usize).min(k);
         prop_assert!(paths.len() >= expected_direct, "{} < {expected_direct}", paths.len());
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         let mut last_hops = 0;
         for path in &paths {
             prop_assert_eq!(path.src(), src);
@@ -58,7 +57,7 @@ proptest! {
         let src = mr.servers[0];
         let dst = *mr.servers.last().unwrap();
         let banned_trunk = banned_trunk % mr.trunk_links.len();
-        let mut banned = HashSet::new();
+        let mut banned = FastSet::default();
         banned.insert(mr.trunk_links[banned_trunk]);
         for path in k_shortest_paths_avoiding(&mr.topology, src, dst, k, &banned) {
             for l in path.links() {
@@ -75,7 +74,7 @@ proptest! {
         let mr = build_multi_rack(&p);
         for &dst in mr.servers.iter().skip(1).take(4) {
             let src = mr.servers[0];
-            let sp = shortest_path(&mr.topology, src, dst, &HashSet::new(), &HashSet::new())
+            let sp = shortest_path(&mr.topology, src, dst, &FastSet::default(), &FastSet::default())
                 .unwrap();
             let same_rack =
                 mr.topology.node(src).rack() == mr.topology.node(dst).rack();

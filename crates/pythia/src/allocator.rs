@@ -27,8 +27,7 @@
 //! clones a `Path` just to score it; the allocator clones only the path
 //! it actually assigns.
 
-use std::collections::HashMap;
-
+use pythia_des::FastMap;
 use pythia_netsim::persist::{get_path, put_path};
 use pythia_netsim::{LinkId, NodeId, Path, Topology};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
@@ -191,7 +190,7 @@ fn max_load(load: &[u64], links: impl Iterator<Item = LinkId>) -> u64 {
 /// [`FlowAllocator::put_state`], the outputs that walk them, sort first.
 #[derive(Debug, Default)]
 pub struct FlowAllocator {
-    pairs: HashMap<(NodeId, NodeId), PairSlot>,
+    pairs: FastMap<(NodeId, NodeId), PairSlot>,
     /// Outstanding predicted bytes planned per link, dense-indexed by
     /// `LinkId` and grown lazily (links never planned onto stay absent).
     planned_link_bytes: Vec<u64>,
@@ -594,7 +593,7 @@ impl FlowAllocator {
             return Err(r.malformed("allocator mode (size-aware/size-blind) differs"));
         }
         let n = u64::get(r)? as usize;
-        let mut pairs: HashMap<(NodeId, NodeId), PairSlot> = HashMap::new();
+        let mut pairs: FastMap<(NodeId, NodeId), PairSlot> = FastMap::default();
         for _ in 0..n {
             let src = NodeId::get(r)?;
             let dst = NodeId::get(r)?;

@@ -24,10 +24,10 @@
 //! before the new one is ingested. Entries parked for a reducer that never
 //! launches can be expired by a TTL sweep.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use pythia_des::{SimDuration, SimTime};
+use pythia_des::{FastMap, SimDuration, SimTime};
 use pythia_hadoop::{JobId, MapTaskId, ReducerId, ServerId};
 use pythia_netsim::{CumulativeCurve, NodeId};
 use pythia_snapshot::{Persist, SectionReader, SectionWriter, SnapshotError};
@@ -109,28 +109,28 @@ pub struct Collector {
     /// Hadoop server id → network node.
     server_nodes: Vec<NodeId>,
     /// Known reducer locations (hadoop server ids), per job.
-    reducer_loc: HashMap<(JobId, ReducerId), ServerId>,
+    reducer_loc: FastMap<(JobId, ReducerId), ServerId>,
     /// Predictions whose reducer location is not yet known, grouped per
     /// `(job, reducer)`, each group in park order, so a reducer launch
     /// takes its group with one probe. The sequence number beside each
     /// entry orders the groups against each other: snapshots write the
     /// entries in global park order.
-    pending: HashMap<(JobId, ReducerId), Vec<(u64, PendingEntry)>>,
+    pending: FastMap<(JobId, ReducerId), Vec<(u64, PendingEntry)>>,
     /// Sequence number of the next parked entry.
     next_park_seq: u64,
     /// Parked entries over all jobs.
     parked: usize,
     /// Committed prediction per (job, map, reducer), for exact reversal
     /// when a fetch completes or the map is re-executed.
-    predicted_fetch: HashMap<(JobId, MapTaskId, ReducerId), CommittedFetch>,
+    predicted_fetch: FastMap<(JobId, MapTaskId, ReducerId), CommittedFetch>,
     /// The prediction currently representing each map task — the
     /// idempotency key of the lossy management network.
-    latest_src: HashMap<(JobId, MapTaskId), MapSource>,
+    latest_src: FastMap<(JobId, MapTaskId), MapSource>,
     /// Outstanding predicted bytes per (src node, dst node), remote only.
-    outstanding: HashMap<(NodeId, NodeId), u64>,
+    outstanding: FastMap<(NodeId, NodeId), u64>,
     /// Cumulative predicted remote traffic per source node over time —
     /// Pythia's side of the Figure 5 comparison.
-    predicted_curves: HashMap<NodeId, (f64, CumulativeCurve)>,
+    predicted_curves: FastMap<NodeId, (f64, CumulativeCurve)>,
     /// Prediction messages ingested (duplicates excluded).
     pub predictions_received: u64,
     /// Per-reducer entries parked for unknown destinations.
@@ -150,14 +150,14 @@ impl Collector {
     pub fn new(server_nodes: Vec<NodeId>) -> Self {
         Collector {
             server_nodes,
-            reducer_loc: HashMap::new(),
-            pending: HashMap::new(),
+            reducer_loc: FastMap::default(),
+            pending: FastMap::default(),
             next_park_seq: 0,
             parked: 0,
-            predicted_fetch: HashMap::new(),
-            latest_src: HashMap::new(),
-            outstanding: HashMap::new(),
-            predicted_curves: HashMap::new(),
+            predicted_fetch: FastMap::default(),
+            latest_src: FastMap::default(),
+            outstanding: FastMap::default(),
+            predicted_curves: FastMap::default(),
             predictions_received: 0,
             entries_parked: 0,
             duplicates_dropped: 0,
@@ -489,7 +489,7 @@ impl Collector {
         }
         let n_servers = server_nodes.len();
         let node_set: BTreeSet<NodeId> = server_nodes.iter().copied().collect();
-        let reducer_loc = <HashMap<(JobId, ReducerId), ServerId> as Persist>::get(r)?;
+        let reducer_loc = <FastMap<(JobId, ReducerId), ServerId> as Persist>::get(r)?;
         for loc in reducer_loc.values() {
             if loc.0 as usize >= n_servers {
                 return Err(r.malformed(format!("reducer location {loc} out of range")));
@@ -505,13 +505,13 @@ impl Collector {
             }
         }
         let predicted_fetch =
-            <HashMap<(JobId, MapTaskId, ReducerId), CommittedFetch> as Persist>::get(r)?;
+            <FastMap<(JobId, MapTaskId, ReducerId), CommittedFetch> as Persist>::get(r)?;
         for c in predicted_fetch.values() {
             if !node_set.contains(&c.src) || !node_set.contains(&c.dst) {
                 return Err(r.malformed("committed fetch references a non-server node"));
             }
         }
-        let mut latest_src = <HashMap<(JobId, MapTaskId), MapSource> as Persist>::get(r)?;
+        let mut latest_src = <FastMap<(JobId, MapTaskId), MapSource> as Persist>::get(r)?;
         for m in latest_src.values() {
             if m.server.0 as usize >= n_servers {
                 return Err(r.malformed(format!("latest-src server {} out of range", m.server)));
@@ -528,7 +528,7 @@ impl Collector {
                 m.reducers = m.reducers.max(reducer.0.saturating_add(1));
             }
         }
-        let outstanding = <HashMap<(NodeId, NodeId), u64> as Persist>::get(r)?;
+        let outstanding = <FastMap<(NodeId, NodeId), u64> as Persist>::get(r)?;
         for (&(src, dst), &v) in &outstanding {
             if v == 0 {
                 return Err(r.malformed("zero outstanding entry (should be removed)"));
@@ -537,7 +537,7 @@ impl Collector {
                 return Err(r.malformed("outstanding pair references a non-server node"));
             }
         }
-        let predicted_curves = <HashMap<NodeId, (f64, CumulativeCurve)> as Persist>::get(r)?;
+        let predicted_curves = <FastMap<NodeId, (f64, CumulativeCurve)> as Persist>::get(r)?;
         for (node, (total, _)) in &predicted_curves {
             if !node_set.contains(node) {
                 return Err(r.malformed("predicted curve for a non-server node"));
@@ -549,7 +549,7 @@ impl Collector {
         self.reducer_loc = reducer_loc;
         self.parked = pending.len();
         self.next_park_seq = pending.len() as u64;
-        self.pending = HashMap::new();
+        self.pending = FastMap::default();
         for (seq, e) in pending.into_iter().enumerate() {
             self.pending
                 .entry((e.job, e.reducer))

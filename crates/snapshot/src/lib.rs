@@ -700,6 +700,18 @@ mod tests {
         assert_eq!(bytes(&|s| s.put(&fwd)), want);
         assert_eq!(bytes(&|s| s.put(&rev)), want);
         round_trip(fwd);
+        // The same for the control plane's seeded fast hasher: two tables
+        // draw two seeds and still write the ordered map's bytes.
+        let fast_fwd: pythia_des::FastMap<u32, u64> = entries.iter().copied().collect();
+        let fast_rev: pythia_des::FastMap<u32, u64> = entries.iter().rev().copied().collect();
+        assert_ne!(
+            fast_fwd.keys().collect::<Vec<_>>(),
+            fast_rev.keys().collect::<Vec<_>>(),
+            "two seeds iterated alike"
+        );
+        assert_eq!(bytes(&|s| s.put(&fast_fwd)), want);
+        assert_eq!(bytes(&|s| s.put(&fast_rev)), want);
+        round_trip(fast_fwd);
     }
 
     #[test]
