@@ -116,10 +116,10 @@ pub struct ScenarioConfig {
     /// `tests/relaxed_tolerance.rs` pins one fingerprint for 1, 2 and 4
     /// workers.
     pub solver_workers: usize,
-    /// Shard the Pythia collector/allocator per pod: predictions from a
-    /// server aggregate in its pod's shard (pod-local state, no
-    /// fleet-wide scans per prediction). `1` (the default) is exactly the
-    /// historical single collector — byte-identical fingerprints.
+    /// Shard Pythia's placement per pod: one collector aggregates every
+    /// prediction, and each pair is placed by the allocator of its
+    /// source's pod shard (pod-sized plans). `1` (the default) is the
+    /// paper's single allocator.
     pub collector_shards: usize,
     /// Batch Pythia rule installs per pod per epoch: placements buffer
     /// and one batched install per pod goes to the switches each epoch,
@@ -173,10 +173,10 @@ impl ScenarioConfig {
         self
     }
 
-    /// Shard the Pythia collector per pod (`1` = the historical single
-    /// collector).
+    /// Shard Pythia's placement per pod (`1` = the paper's single
+    /// allocator); see [`ScenarioConfig::collector_shards`].
     pub fn with_collector_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one collector shard");
+        assert!(shards >= 1, "need at least one placement shard");
         self.collector_shards = shards;
         self
     }

@@ -136,6 +136,14 @@ struct FetchInfo {
     dst: ServerId,
 }
 
+/// One in-flight shuffle fetch, keyed by its network flow.
+#[derive(Debug, Clone, Copy)]
+struct InFlightFetch {
+    job: JobId,
+    fetch: FetchId,
+    info: FetchInfo,
+}
+
 /// A memoized pair→path resolution. Invalidated per pair when a rule for
 /// that pair lands (a server-pair rule cannot change any other pair's
 /// resolution), and globally — via the engine's routing epoch — on ECMP
@@ -772,8 +780,12 @@ struct Engine<'a> {
     /// an unchanged projection is left in place instead of the
     /// cancel-and-repush churn every round.
     flowcheck: Option<(EventId, SimTime)>,
-    fetch_of_flow: BTreeMap<FlowId, (JobId, FetchId)>,
-    info_of_fetch: BTreeMap<(JobId, FetchId), FetchInfo>,
+    /// Every in-flight fetch by its flow, in flow-id order: one insert
+    /// when the flow starts, one remove when it completes.
+    fetches: BTreeMap<FlowId, InFlightFetch>,
+    /// `is_trunk[l]` — whether link `l` is an inter-switch trunk, so a
+    /// completed flow's trunk is found without a search of every trunk.
+    is_trunk: Vec<bool>,
     probe: NetFlowProbe,
     trace: FlowTrace,
     /// Per trunk direction group: (capacity, member CBR flow ids ordered
@@ -959,8 +971,14 @@ impl<'a> Engine<'a> {
             background_bps,
             queue: EventQueue::new(),
             flowcheck: None,
-            fetch_of_flow: BTreeMap::new(),
-            info_of_fetch: BTreeMap::new(),
+            fetches: BTreeMap::new(),
+            is_trunk: {
+                let mut mask = vec![false; mr.topology.num_links()];
+                for &l in &mr.trunk_links {
+                    mask[l.0 as usize] = true;
+                }
+                mask
+            },
             probe,
             trace: FlowTrace::default(),
             bg_groups,
@@ -1281,8 +1299,26 @@ impl<'a> Engine<'a> {
             down.sort_unstable();
             down.put(s);
             self.parked_fetches.put(s);
-            self.fetch_of_flow.put(s);
-            self.info_of_fetch.put(s);
+            // The fetch table is written as two maps: flow → (job,
+            // fetch) in flow order, then (job, fetch) → info in fetch
+            // order.
+            self.fetches.len().put(s);
+            for (fid, f) in &self.fetches {
+                fid.put(s);
+                (f.job, f.fetch).put(s);
+            }
+            let mut by_fetch: Vec<(&JobId, &FetchId, &FetchInfo)> = self
+                .fetches
+                .values()
+                .map(|f| (&f.job, &f.fetch, &f.info))
+                .collect();
+            by_fetch.sort_unstable_by_key(|&(job, fetch, _)| (*job, *fetch));
+            by_fetch.len().put(s);
+            for (job, fetch, info) in by_fetch {
+                job.put(s);
+                fetch.put(s);
+                info.put(s);
+            }
             pythia_des::put_rng(s, &self.bg_rng);
             self.epoch_batches.put(s);
             self.epoch_buf.put(s);
@@ -1481,6 +1517,13 @@ impl<'a> Engine<'a> {
                 )));
             }
         }
+        let fetches: BTreeMap<FlowId, InFlightFetch> = fetch_of_flow
+            .into_iter()
+            .map(|(fid, (job, fetch))| {
+                let info = info_of_fetch[&(job, fetch)];
+                (fid, InFlightFetch { job, fetch, info })
+            })
+            .collect();
         let bg_rng = pythia_des::get_rng(&mut s)?;
         let epoch_batches = u64::get(&mut s)?;
         let epoch_buf = <BTreeMap<u32, Vec<BufferedRule>> as Persist>::get(&mut s)?;
@@ -1571,7 +1614,7 @@ impl<'a> Engine<'a> {
         s.finish()?;
         // The worker pool is a runtime resource, not state.
         net.set_solver_workers(solver_workers(self.cfg));
-        for fid in fetch_of_flow.keys() {
+        for fid in fetches.keys() {
             if net.flow(*fid).is_none() {
                 return Err(malformed(
                     "net",
@@ -1707,8 +1750,7 @@ impl<'a> Engine<'a> {
         self.background_bps = background_bps;
         self.down_links = down_vec.into_iter().collect();
         self.parked_fetches = parked_fetches;
-        self.fetch_of_flow = fetch_of_flow;
-        self.info_of_fetch = info_of_fetch;
+        self.fetches = fetches;
         self.events_processed = events_processed;
         self.rules_installed = rules_installed;
         self.tcam_rejected = tcam_rejected;
@@ -1734,7 +1776,7 @@ impl<'a> Engine<'a> {
         self.routing_epoch = 0;
         self.nexthops = EcmpNextHops::compute_avoiding(&self.mr.topology, &self.down_links);
         self.flows_of_pair.clear();
-        for &fid in self.fetch_of_flow.keys() {
+        for &fid in self.fetches.keys() {
             let f = self.net.flow(fid).expect("validated above");
             // BTreeMap iteration is ascending, so each pair list comes
             // out in flow-id order, matching the live engine's invariant.
@@ -1888,7 +1930,7 @@ impl<'a> Engine<'a> {
     /// Mark the network dirty from a single-flow mutation: one of the
     /// in-flight fetches started, completed, or moved.
     fn dirty_net_flow(&mut self) {
-        self.deferral.flow_changed(self.fetch_of_flow.len());
+        self.deferral.flow_changed(self.fetches.len());
         self.projection_dirty = true;
     }
 
@@ -2068,22 +2110,19 @@ impl<'a> Engine<'a> {
                 dst: dst_node,
                 bytes: wire_bytes,
             });
-        self.fetch_of_flow.insert(fid, (job, fetch));
+        let info = FetchInfo {
+            map,
+            reducer,
+            src,
+            dst,
+        };
+        self.fetches.insert(fid, InFlightFetch { job, fetch, info });
         // Flow ids are allocated monotonically, so appending keeps each
         // pair list in flow-id order.
         self.flows_of_pair
             .entry((src_node, dst_node))
             .or_default()
             .push(fid);
-        self.info_of_fetch.insert(
-            (job, fetch),
-            FetchInfo {
-                map,
-                reducer,
-                src,
-                dst,
-            },
-        );
     }
 
     /// Retry every parked (unroutable) fetch — called when the topology
@@ -2105,23 +2144,17 @@ impl<'a> Engine<'a> {
         let _span = self.flight.span("flow_complete");
         let report = self.net.remove_flow(fid);
         self.dirty_net_flow();
-        self.trace.push(ShuffleFlowRecord::from_report(
-            &report,
-            &self.mr.trunk_links,
-        ));
+        self.trace
+            .push(ShuffleFlowRecord::from_report(&report, &self.is_trunk));
         // Crisp measured curves: sample the completing flow's own source
         // curve (a same-timestamp wave coalesces into one point via the
         // delta-encoded push); every other watched counter is analytic
         // and read at the next periodic tick.
         self.probe.sample_node(&self.net, report.spec.tuple.src);
-        let (job, fetch) = self
-            .fetch_of_flow
+        let InFlightFetch { job, fetch, info } = self
+            .fetches
             .remove(&fid)
             .expect("completed flow is not a fetch");
-        let info = self
-            .info_of_fetch
-            .remove(&(job, fetch))
-            .expect("unknown fetch");
         let src_node = self.mr.servers[info.src.0 as usize];
         let dst_node = self.mr.servers[info.dst.0 as usize];
         if let Some(fids) = self.flows_of_pair.get_mut(&(src_node, dst_node)) {
@@ -2586,7 +2619,7 @@ impl<'a> Engine<'a> {
         affected.clear();
         if up {
             // Every in-flight fetch, in flow-id order.
-            affected.extend(self.fetch_of_flow.keys().map(|&fid| {
+            affected.extend(self.fetches.keys().map(|&fid| {
                 let f = self.net.flow(fid).unwrap();
                 (fid, f.spec.tuple)
             }));
@@ -2597,7 +2630,7 @@ impl<'a> Engine<'a> {
             // replaces.
             for &l in &self.down_links {
                 for fid in self.net.flows_on_link(l) {
-                    if self.fetch_of_flow.contains_key(&fid) {
+                    if self.fetches.contains_key(&fid) {
                         let tuple = self.net.flow(fid).unwrap().spec.tuple;
                         affected.push((fid, tuple));
                     }

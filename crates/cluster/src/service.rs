@@ -252,7 +252,7 @@ impl std::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Pod (fat-tree) or rack (leaf fabrics) of every node; `u32::MAX` for
-/// core switches, which belong to no pod. This drives collector sharding
+/// core switches, which belong to no pod. This drives placement sharding
 /// and per-pod install batching.
 fn pod_of_nodes(mr: &MultiRack) -> Vec<u32> {
     let mut pod_of_node = vec![u32::MAX; mr.topology.num_nodes()];
@@ -420,7 +420,7 @@ impl ServiceCore {
 
     /// Whether `msg` fits this fabric: link ids and per-link vectors match
     /// the link count, loads are finite, and the servers that pick a
-    /// collector shard exist. A message that passes cannot panic
+    /// placement shard exist. A message that passes cannot panic
     /// [`ServiceCore::dispatch`]. Costs O(1) except for the per-link
     /// vectors, which are scanned once.
     pub fn check(&self, msg: &ControlMsg) -> Result<(), MalformedMsg> {

@@ -7,8 +7,9 @@
 //!    warmed-up [`FlowNet`] advance → mutate → recompute cycle (one
 //!    solver worker), a
 //!    pre-sized NetFlow probe sampling cycle, and a warmed-up
-//!    [`EventQueue`] push → cancel → pop cycle must perform exactly zero
-//!    heap allocations.
+//!    [`EventQueue`] push → cancel → push → pop cycle, whose later
+//!    pushes reuse cancelled slots while the dead keys are still in the
+//!    heap, must perform exactly zero heap allocations.
 //! 2. **Bounded allocations per event** for the full engine: a complete
 //!    fat-tree run must stay under a per-event allocation budget, so an
 //!    accidental O(all flows) collection creeping back into a dispatch
@@ -108,10 +109,20 @@ fn queue_cycle(q: &mut EventQueue<u32>, base_ms: u64) {
     for (i, slot) in ids.iter_mut().enumerate() {
         *slot = Some(q.push(SimTime::from_millis(base_ms + i as u64), i as u32));
     }
-    // Cancel the odd half (stale completion estimates), pop the rest.
+    // Cancel the odd half (stale completion estimates).
     for id in ids.iter().flatten().skip(1).step_by(2) {
         q.cancel(*id);
     }
+    // Re-estimates: each push takes a slot a cancel just freed while
+    // that slot's dead key still waits in the heap.
+    for i in 0..8u32 {
+        q.push(SimTime::from_millis(base_ms + 2 * i as u64 + 1), 100 + i);
+    }
+    assert_eq!(
+        (q.len(), q.heap_len()),
+        (24, 40),
+        "slots reused with dead keys in the heap"
+    );
     while q.pop().is_some() {}
 }
 
@@ -192,7 +203,7 @@ fn hot_loops_allocation_budget() {
     assert_eq!(
         allocs() - before,
         0,
-        "EventQueue push/cancel/pop cycle allocated in steady state"
+        "EventQueue push/cancel/push/pop cycle allocated in steady state"
     );
 
     // ---- 2. Whole-engine allocation budget per event. ------------------

@@ -62,7 +62,7 @@ fn cfg_of(s: &FleetScn) -> ScenarioConfig {
     cfg
 }
 
-/// One fixed fleet, pinned: k=4, four collector shards, 300 ms install
+/// One fixed fleet, pinned: k=4, four placement shards, 300 ms install
 /// epochs. Re-taken once when the relaxed-order solver became the only
 /// accounting mode (it equals what that mode produced while it was still
 /// optional); every comparison in this file is equality, not tolerance.

@@ -1,44 +1,97 @@
 //! Deterministic pending-event set.
 //!
-//! The queue is a binary heap keyed by `(time, sequence)`. The sequence
-//! number is assigned at push time, so events scheduled for the same instant
-//! fire in FIFO order — a requirement for bit-reproducible runs.
+//! The queue is a binary heap of 24-byte `(time, seq, slot)` keys over a
+//! payload slab. The sequence number is assigned at push time, so events
+//! scheduled for the same instant fire in FIFO order — a requirement for
+//! bit-reproducible runs. The payload waits in `slots[slot]`, so sifting
+//! moves keys only, and a slot freed by a pop or a cancel goes on a free
+//! list for the next push.
 //!
-//! Cancellation is lazy: [`EventQueue::cancel`] marks the handle dead and
-//! the entry is discarded when it reaches the top of the heap. This keeps
-//! both `push` and `cancel` O(log n) / O(1) and is the standard technique
-//! for DES engines where most cancelled events are "stale completion
-//! estimates" (see the flow simulator).
+//! An entry is live while its slot still holds its sequence number: a pop
+//! or a cancel frees the slot, and a later push may refill it with a newer
+//! sequence number while the old key still sits in the heap. No separate
+//! live set exists.
+//!
+//! Cancellation is lazy: [`EventQueue::cancel`] frees the slot and the
+//! dead key is discarded when it reaches the top of the heap. This keeps
+//! `push` O(log n) and `cancel` O(1), the standard technique for DES
+//! engines where most cancelled events are "stale completion estimates"
+//! (see the flow simulator).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
-use crate::hash::FastSet;
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-struct HeapEntry<E> {
-    time: SimTime,
+///
+/// Identity is the sequence number alone; the slot is where the issuing
+/// queue keeps the payload, so a cancel finds it without a search. Only
+/// the sequence number is persisted: a handle read back from a snapshot,
+/// or issued by the queue a restore replaced, is found by a search of the
+/// live entries instead.
+#[derive(Clone, Copy)]
+pub struct EventId {
     seq: u64,
-    id: EventId,
-    payload: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for HeapEntry<E> {
+/// The slot of a handle whose slot is unknown (read from a snapshot).
+const NO_SLOT: u32 = u32::MAX;
+
+/// The sequence number a free slot holds; never issued.
+const FREE: u64 = u64::MAX;
+
+impl PartialEq for EventId {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.seq == other.seq
     }
 }
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
+impl Eq for EventId {}
+impl Hash for EventId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.seq.hash(state);
+    }
+}
+impl PartialOrd for EventId {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for HeapEntry<E> {
+impl Ord for EventId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.seq.cmp(&other.seq)
+    }
+}
+impl fmt::Debug for EventId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "EventId({})", self.seq)
+    }
+}
+
+/// A heap key: the payload waits in `slots[slot]`, live while that slot
+/// still holds `seq`.
+#[derive(Clone, Copy)]
+struct Key {
+    time: SimTime,
+    seq: u64,
+    slot: u32,
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first.
@@ -49,19 +102,25 @@ impl<E> Ord for HeapEntry<E> {
     }
 }
 
+/// One payload slot: the sequence number of the entry it holds, or
+/// [`FREE`].
+struct Slot<E> {
+    seq: u64,
+    payload: Option<E>,
+}
+
 /// A deterministic future-event set.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    /// Live event ids. Removed on pop or cancel.
-    live: FastSet<EventId>,
-    /// Most live events ever held at once. `live` keeps room for twice
-    /// this many, so once the tombstones its removals leave exhaust its
-    /// free slots it always cleans them by rehashing in place, never by
-    /// growing: a steady push/cancel/pop cycle allocates nothing, however
-    /// this set's own hash seed (drawn per table, see [`FastSet`]) places
-    /// its keys.
-    live_high_water: usize,
+    heap: BinaryHeap<Key>,
+    slots: Vec<Slot<E>>,
+    /// Free slot indices, reused before the slab grows.
+    free: Vec<u32>,
+    /// Live (not cancelled, not popped) entries.
+    live: usize,
     next_seq: u64,
+    /// Handles with a sequence number below this were issued before the
+    /// restore that built this queue, so their slots mean nothing here.
+    restored_below: u64,
     /// Dead entries still physically in the heap.
     cancelled: u64,
     /// Dead entries physically removed over the queue's lifetime (lazy
@@ -82,9 +141,11 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: FastSet::default(),
-            live_high_water: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             next_seq: 0,
+            restored_below: 0,
             cancelled: 0,
             dead_shed: 0,
             compactions: 0,
@@ -96,73 +157,111 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
-        self.heap.push(HeapEntry {
-            time,
-            seq,
-            id,
-            payload,
-        });
-        self.reserve_for_insert();
-        self.live.insert(id);
-        id
+        self.insert(time, seq, payload)
     }
 
-    /// One event is about to go live: keep `live`'s capacity at least
-    /// twice the live high-water mark. The table then holds at most half
-    /// its capacity whenever an insert finds no free slot, which is the
-    /// condition under which it rehashes in place instead of
-    /// reallocating. Only a new high-water mark can allocate.
-    fn reserve_for_insert(&mut self) {
-        let live = self.live.len() + 1;
-        if live > self.live_high_water {
-            self.live_high_water = live;
-            self.live.reserve(2 * live - self.live.len());
+    /// Place `payload` under `seq` in a free slot (or a new one) and key
+    /// it into the heap.
+    fn insert(&mut self, time: SimTime, seq: u64, payload: E) -> EventId {
+        let filled = Slot {
+            seq,
+            payload: Some(payload),
+        };
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = filled;
+                s
+            }
+            None => {
+                let s = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != NO_SLOT)
+                    .expect("event queue slab full");
+                self.slots.push(filled);
+                s
+            }
+        };
+        self.heap.push(Key { time, seq, slot });
+        self.live += 1;
+        EventId { seq, slot }
+    }
+
+    /// The slot holding `id`'s entry, if it is still live. A handle this
+    /// queue issued names its slot; one issued before the restore that
+    /// built it is looked up among the live entries.
+    fn slot_of(&self, id: EventId) -> Option<usize> {
+        let s = id.slot as usize;
+        if self.slots.get(s).is_some_and(|sl| sl.seq == id.seq) {
+            return Some(s);
         }
+        if id.seq < self.restored_below {
+            return self.slots.iter().position(|sl| sl.seq == id.seq);
+        }
+        None
+    }
+
+    /// Free slot `s`, returning its payload.
+    fn release(&mut self, s: usize) -> E {
+        let sl = &mut self.slots[s];
+        sl.seq = FREE;
+        self.free.push(s as u32);
+        self.live -= 1;
+        sl.payload.take().expect("live slot holds a payload")
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending (i.e. had not fired and had not already been
     /// cancelled).
     ///
-    /// Cancellation stays O(1): the heap entry is left in place and
-    /// skipped on pop. When dead entries outnumber live ones the heap is
-    /// compacted eagerly, so workloads that cancel almost everything they
-    /// schedule (stale completion estimates, crashed-controller installs)
-    /// keep the heap at O(live) instead of O(ever scheduled). Each sweep
-    /// removes more entries than survive it, so its cost amortizes into
-    /// the cancellations that triggered it: amortized O(1) per cancel.
+    /// Cancellation stays O(1): the slot is freed at once and the heap key
+    /// is left in place to be skipped on pop. When dead keys outnumber
+    /// live ones the heap is compacted eagerly, so workloads that cancel
+    /// almost everything they schedule (stale completion estimates,
+    /// crashed-controller installs) keep the heap at O(live) instead of
+    /// O(ever scheduled). Each sweep removes more keys than survive it,
+    /// so its cost amortizes into the cancellations that triggered it:
+    /// amortized O(1) per cancel.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.live.remove(&id) {
+        let Some(s) = self.slot_of(id) else {
             return false;
-        }
+        };
+        self.release(s);
         self.cancelled += 1;
-        if self.cancelled as usize > self.live.len() && self.heap.len() > 64 {
+        if self.cancelled as usize > self.live && self.heap.len() > 64 {
             self.compact();
         }
         true
     }
 
-    /// Rebuild the heap from its live entries only.
+    /// Drop every dead key from the heap.
     fn compact(&mut self) {
         self.compactions += 1;
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|e| self.live.contains(&e.id));
+        let slots = &self.slots;
+        self.heap.retain(|k| slots[k.slot as usize].seq == k.seq);
         self.dead_shed += self.cancelled;
         self.cancelled = 0;
-        self.heap = BinaryHeap::from(entries);
     }
 
     /// True if `id` is scheduled and not cancelled.
     pub fn is_pending(&self, id: EventId) -> bool {
-        self.live.contains(&id)
+        self.slot_of(id).is_some()
+    }
+
+    /// Whether `k`'s entry is still live.
+    fn is_live(&self, k: &Key) -> bool {
+        self.slots[k.slot as usize].seq == k.seq
     }
 
     /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.live.remove(&entry.id) {
-                return Some((entry.time, entry.id, entry.payload));
+        while let Some(k) = self.heap.pop() {
+            if self.is_live(&k) {
+                let payload = self.release(k.slot as usize);
+                let id = EventId {
+                    seq: k.seq,
+                    slot: k.slot,
+                };
+                return Some((k.time, id, payload));
             }
             self.cancelled -= 1;
             self.dead_shed += 1;
@@ -172,10 +271,10 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop dead entries from the top so peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if self.live.contains(&entry.id) {
-                return Some(entry.time);
+        // Drop dead keys from the top so peek is accurate.
+        while let Some(&k) = self.heap.peek() {
+            if self.is_live(&k) {
+                return Some(k.time);
             }
             self.heap.pop();
             self.cancelled -= 1;
@@ -186,21 +285,21 @@ impl<E> EventQueue<E> {
 
     /// Number of live (not cancelled) events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     /// True when no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.live == 0
     }
 
-    /// Number of entries physically in the heap, including dead ones.
+    /// Number of keys physically in the heap, including dead ones.
     /// Exposed for engine-health assertions in tests.
     pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Fraction of physical heap entries that are dead (cancelled but not
+    /// Fraction of physical heap keys that are dead (cancelled but not
     /// yet removed), in `[0, 1]`. An engine-health signal: stays below
     /// 1/2 by construction thanks to eager compaction.
     pub fn dead_fraction(&self) -> f64 {
@@ -210,7 +309,7 @@ impl<E> EventQueue<E> {
         self.cancelled as f64 / self.heap.len() as f64
     }
 
-    /// Total dead entries physically removed so far (lazy pops plus
+    /// Total dead keys physically removed so far (lazy pops plus
     /// compaction sweeps).
     pub fn dead_shed(&self) -> u64 {
         self.dead_shed
@@ -229,8 +328,11 @@ impl<E> EventQueue<E> {
         let mut out: Vec<(SimTime, u64, &E)> = self
             .heap
             .iter()
-            .filter(|e| self.live.contains(&e.id))
-            .map(|e| (e.time, e.seq, &e.payload))
+            .filter(|k| self.is_live(k))
+            .map(|k| {
+                let payload = self.slots[k.slot as usize].payload.as_ref();
+                (k.time, k.seq, payload.expect("live slot holds a payload"))
+            })
             .collect();
         out.sort_unstable_by_key(|&(_, seq, _)| seq);
         out
@@ -244,7 +346,7 @@ impl<E> EventQueue<E> {
     /// Rebuild a queue from checkpointed entries. Sequence numbers are
     /// preserved, so FIFO tie-breaking — and therefore pop order — is
     /// identical to the queue that was snapshotted, and outstanding
-    /// [`EventId`] handles stay valid.
+    /// [`EventId`] handles stay valid (they are found by sequence number).
     ///
     /// Returns a description of the violation (for the caller to wrap in
     /// its own error type) if a sequence repeats or is not below
@@ -253,34 +355,33 @@ impl<E> EventQueue<E> {
         entries: impl IntoIterator<Item = (SimTime, u64, E)>,
         next_seq: u64,
     ) -> Result<Self, String> {
+        let mut entries: Vec<(SimTime, u64, E)> = entries.into_iter().collect();
+        if let Some(&(_, seq, _)) = entries.iter().find(|e| e.1 >= next_seq) {
+            return Err(format!("event seq {seq} >= next_seq {next_seq}"));
+        }
+        entries.sort_unstable_by_key(|e| e.1);
+        if let Some(w) = entries.windows(2).find(|w| w[0].1 == w[1].1) {
+            return Err(format!("duplicate event seq {}", w[0].1));
+        }
         let mut q = EventQueue::new();
         for (time, seq, payload) in entries {
-            if seq >= next_seq {
-                return Err(format!("event seq {seq} >= next_seq {next_seq}"));
-            }
-            let id = EventId(seq);
-            q.reserve_for_insert();
-            if !q.live.insert(id) {
-                return Err(format!("duplicate event seq {seq}"));
-            }
-            q.heap.push(HeapEntry {
-                time,
-                seq,
-                id,
-                payload,
-            });
+            q.insert(time, seq, payload);
         }
         q.next_seq = next_seq;
+        q.restored_below = next_seq;
         Ok(q)
     }
 }
 
 impl pythia_snapshot::Persist for EventId {
     fn put(&self, w: &mut pythia_snapshot::SectionWriter) {
-        self.0.put(w);
+        self.seq.put(w);
     }
     fn get(r: &mut pythia_snapshot::SectionReader) -> Result<Self, pythia_snapshot::SnapshotError> {
-        Ok(EventId(u64::get(r)?))
+        Ok(EventId {
+            seq: u64::get(r)?,
+            slot: NO_SLOT,
+        })
     }
 }
 
@@ -475,6 +576,54 @@ mod tests {
     fn restore_rejects_bad_seqs() {
         assert!(EventQueue::from_entries(vec![(t(1), 5u64, ())], 5).is_err());
         assert!(EventQueue::from_entries(vec![(t(1), 0u64, ()), (t(2), 0u64, ())], 3).is_err());
+    }
+
+    #[test]
+    fn reused_slot_leaves_the_dead_key_dead() {
+        let mut q = EventQueue::new();
+        let a = q.push(t(10), "a");
+        q.push(t(30), "c");
+        assert!(q.cancel(a));
+        // The next push takes the freed slot while `a`'s key is still in
+        // the heap, ahead of the new entry.
+        let b = q.push(t(20), "b");
+        assert_eq!(q.heap_len(), 3);
+        assert!(!q.is_pending(a));
+        assert!(
+            !q.cancel(a),
+            "a stale handle must not cancel the slot's new entry"
+        );
+        assert!(q.is_pending(b));
+        assert_eq!(q.peek_time(), Some(t(20)));
+        assert_eq!(q.dead_shed(), 1);
+        assert_eq!(q.pop().unwrap().2, "b");
+        assert_eq!(q.pop().unwrap().2, "c");
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn restored_handles_find_their_entries_by_seq() {
+        let mut q = EventQueue::new();
+        let a = q.push(t(10), 'a');
+        let b = q.push(t(20), 'b');
+        let c = q.push(t(30), 'c');
+        q.cancel(a);
+        let entries: Vec<(SimTime, u64, char)> = q
+            .live_entries()
+            .into_iter()
+            .map(|(time, seq, &p)| (time, seq, p))
+            .collect();
+        let mut r = EventQueue::from_entries(entries, q.next_seq()).unwrap();
+        let d = r.push(t(5), 'd');
+        assert!(!r.cancel(a), "cancelled before the snapshot");
+        assert!(r.is_pending(c));
+        assert!(r.cancel(c));
+        assert!(!r.cancel(c));
+        assert_eq!(r.pop().unwrap().2, 'd');
+        assert!(!r.cancel(d), "fired after the restore");
+        assert_eq!(r.pop().unwrap().2, 'b');
+        assert!(!r.cancel(b), "fired after the restore");
+        assert!(r.is_empty());
     }
 
     #[test]

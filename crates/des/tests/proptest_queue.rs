@@ -1,8 +1,11 @@
 //! Property tests for the event queue: ordering, FIFO tie-break, and
-//! cancellation semantics under arbitrary interleavings.
+//! cancellation semantics under arbitrary interleavings, plus a model
+//! check against a `BTreeMap` that restores the queue midway.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use pythia_des::{EventQueue, SimTime};
+use pythia_des::{EventId, EventQueue, SimTime};
 
 proptest! {
     /// Popped times are monotone non-decreasing regardless of push order.
@@ -75,5 +78,103 @@ proptest! {
             prop_assert_eq!(peek, t);
         }
         prop_assert!(q.is_empty());
+    }
+}
+
+/// One step of a model-checked queue run.
+#[derive(Debug, Clone)]
+enum Op {
+    Push(u64),
+    /// Cancel the handle at this index (modulo the handles issued).
+    Cancel(usize),
+    Pop,
+    Peek,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u64..50).prop_map(Op::Push),
+        (0u64..50).prop_map(Op::Push),
+        any::<usize>().prop_map(Op::Cancel),
+        any::<usize>().prop_map(Op::Cancel),
+        Just(Op::Pop),
+        Just(Op::Peek),
+    ]
+}
+
+proptest! {
+    /// Random interleavings of push, cancel, pop and peek agree with a
+    /// `BTreeMap<(time, seq), payload>` model, across a restore through
+    /// `live_entries` → `from_entries` midway. Few distinct times make
+    /// equal-time FIFO ties common, and cancels pick among every handle
+    /// ever issued, so fired, cancelled and pre-restore handles all come
+    /// back.
+    #[test]
+    fn matches_btreemap_model_across_restore(
+        ops in proptest::collection::vec(op(), 1..300),
+        restore_at in 0usize..300,
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        // Every handle issued, with the model key it was issued for.
+        let mut handles: Vec<(EventId, (u64, u64))> = Vec::new();
+        let mut next_seq = 0u64;
+        for (i, op) in ops.iter().enumerate() {
+            if i == restore_at {
+                let entries: Vec<(SimTime, u64, u64)> = q
+                    .live_entries()
+                    .into_iter()
+                    .map(|(t, s, &p)| (t, s, p))
+                    .collect();
+                let mut by_seq: Vec<(u64, u64)> = model.keys().map(|&(t, s)| (s, t)).collect();
+                by_seq.sort_unstable();
+                let got: Vec<(u64, u64)> =
+                    entries.iter().map(|&(t, s, _)| (s, t.as_nanos())).collect();
+                prop_assert_eq!(got, by_seq);
+                q = EventQueue::from_entries(entries, q.next_seq()).unwrap();
+            }
+            match *op {
+                Op::Push(t) => {
+                    let id = q.push(SimTime::from_nanos(t), next_seq);
+                    model.insert((t, next_seq), next_seq);
+                    handles.push((id, (t, next_seq)));
+                    next_seq += 1;
+                }
+                Op::Cancel(k) if !handles.is_empty() => {
+                    let (id, key) = handles[k % handles.len()];
+                    let live = model.remove(&key).is_some();
+                    prop_assert_eq!(q.is_pending(id), live);
+                    prop_assert_eq!(q.cancel(id), live);
+                    prop_assert!(!q.cancel(id), "second cancel of a handle");
+                }
+                Op::Cancel(_) => {}
+                Op::Pop => {
+                    let want = model.pop_first();
+                    let got = q.pop();
+                    match (want, got) {
+                        (None, None) => {}
+                        (Some(((t, s), p)), Some((gt, gid, gp))) => {
+                            prop_assert_eq!(gt, SimTime::from_nanos(t));
+                            prop_assert_eq!(gp, p);
+                            prop_assert_eq!(gid, handles[s as usize].0);
+                        }
+                        (w, g) => prop_assert!(false, "model {:?} vs queue {:?}", w, g),
+                    }
+                }
+                Op::Peek => {
+                    let want = model.keys().next().map(|&(t, _)| SimTime::from_nanos(t));
+                    prop_assert_eq!(q.peek_time(), want);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert!(q.dead_fraction() <= 0.5 || q.heap_len() <= 64);
+        }
+        // Drain: whatever is left pops in model order.
+        for ((t, _), p) in std::mem::take(&mut model) {
+            let (gt, _, gp) = q.pop().unwrap();
+            prop_assert_eq!((gt, gp), (SimTime::from_nanos(t), p));
+        }
+        prop_assert!(q.pop().is_none());
     }
 }

@@ -31,13 +31,14 @@ pub struct ShuffleFlowRecord {
 }
 
 impl ShuffleFlowRecord {
-    /// Build from a [`FlowReport`], classifying the trunk link crossed.
-    pub fn from_report(report: &FlowReport, trunk_links: &[LinkId]) -> ShuffleFlowRecord {
+    /// Build from a [`FlowReport`], classifying the trunk link crossed:
+    /// the first link of the path with `is_trunk[link]` set.
+    pub fn from_report(report: &FlowReport, is_trunk: &[bool]) -> ShuffleFlowRecord {
         let trunk = report
             .path
             .links()
             .iter()
-            .find(|l| trunk_links.contains(l))
+            .find(|l| is_trunk[l.0 as usize])
             .map(|l| l.0);
         ShuffleFlowRecord {
             src_node: report.spec.tuple.src.0,

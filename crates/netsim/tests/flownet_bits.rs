@@ -14,7 +14,10 @@
 //! solver and the slot-carrying completion heap replaced their
 //! predecessors, and held when the exact accounting mode was deleted
 //! (only the snapshot format moved then); a mismatch here names the rate
-//! engine, not the layers above it.
+//! engine, not the layers above it. The snapshot digest covers the file
+//! header too, so it moves with `SNAPSHOT_VERSION`: it was re-taken when
+//! format 4 changed only the Pythia sections (the network bytes still
+//! give the format-3 digest under a format-3 header).
 
 use pythia_des::{SimDuration, SimTime};
 use pythia_netsim::{
@@ -24,7 +27,7 @@ use pythia_netsim::{
 use pythia_snapshot::{Reader, Writer};
 
 const OBSERVED_DIGEST: u64 = 0xe314_f120_1e4d_6d25;
-const SNAPSHOT_DIGEST: u64 = 0xef41_d428_5b99_f769;
+const SNAPSHOT_DIGEST: u64 = 0x69b6_3f56_4e2e_7726;
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);

@@ -134,6 +134,9 @@ struct PairSlot {
     /// [`CandGeometry`]). Untouched by the plain
     /// [`FlowAllocator::place`]/[`FlowAllocator::reassign`] calls.
     geometry: Option<CandGeometry>,
+    /// The pair's index in [`FlowAllocator::active`] while it has
+    /// outstanding bytes.
+    active_at: Option<u32>,
 }
 
 /// The active assignment in `slot`, if the pair has outstanding bytes.
@@ -191,6 +194,12 @@ fn max_load(load: &[u64], links: impl Iterator<Item = LinkId>) -> u64 {
 #[derive(Debug, Default)]
 pub struct FlowAllocator {
     pairs: FastMap<(NodeId, NodeId), PairSlot>,
+    /// Pairs with outstanding bytes, in no particular order, each slot
+    /// recording its index: a pair joins when its outstanding volume
+    /// leaves zero and leaves (by swap-remove) when it returns to zero,
+    /// so a sweep walks only these. Derived from `pairs` on restore, not
+    /// persisted.
+    active: Vec<(NodeId, NodeId)>,
     /// Outstanding predicted bytes planned per link, dense-indexed by
     /// `LinkId` and grown lazily (links never planned onto stay absent).
     planned_link_bytes: Vec<u64>,
@@ -382,6 +391,12 @@ impl FlowAllocator {
             path: path.clone(),
             outstanding: bytes,
         });
+        debug_assert!(
+            slot.active_at.is_none(),
+            "an idle pair is not listed active"
+        );
+        slot.active_at = Some(self.active.len() as u32);
+        self.active.push(pair);
         self.placements += 1;
         Placement::Assign(path)
     }
@@ -428,6 +443,7 @@ impl FlowAllocator {
         let PairSlot {
             assignment,
             geometry,
+            ..
         } = self.pairs.get_mut(&pair)?;
         let a = assignment.as_mut().filter(|a| a.outstanding > 0)?;
         let outstanding = a.outstanding;
@@ -505,39 +521,56 @@ impl FlowAllocator {
     /// Sorted: the order decides the reassignment sweep's rule order.
     pub fn active_pairs_into(&self, out: &mut Vec<(NodeId, NodeId)>) {
         out.clear();
-        out.extend(self.pairs.iter().filter_map(|(&p, slot)| {
-            slot.assignment
-                .as_ref()
-                .is_some_and(|a| a.outstanding > 0)
-                .then_some(p)
-        }));
+        out.extend_from_slice(&self.active);
         out.sort_unstable();
+    }
+
+    /// Drop `active[i]` (a pair that just went idle) and re-index the
+    /// pair moved into its place.
+    fn deactivate(&mut self, i: u32) {
+        self.active.swap_remove(i as usize);
+        if let Some(moved) = self.active.get(i as usize) {
+            let slot = self
+                .pairs
+                .get_mut(moved)
+                .expect("an active pair has a slot");
+            slot.active_at = Some(i);
+        }
     }
 
     /// A fetch belonging to `pair` completed; remove its predicted bytes
     /// from the plan.
     pub fn drain(&mut self, pair: (NodeId, NodeId), bytes: u64) {
-        if let Some(a) = self
-            .pairs
-            .get_mut(&pair)
-            .and_then(|s| s.assignment.as_mut())
-        {
-            let drained = bytes.min(a.outstanding);
-            a.outstanding -= drained;
-            table_sub(&mut self.planned_link_bytes, a.path.links(), drained);
-            if a.outstanding == 0 {
-                table_sub(&mut self.planned_link_pairs, a.path.links(), 1);
+        let Some(slot) = self.pairs.get_mut(&pair) else {
+            return;
+        };
+        let Some(a) = slot.assignment.as_mut() else {
+            return;
+        };
+        let drained = bytes.min(a.outstanding);
+        a.outstanding -= drained;
+        table_sub(&mut self.planned_link_bytes, a.path.links(), drained);
+        if a.outstanding == 0 {
+            table_sub(&mut self.planned_link_pairs, a.path.links(), 1);
+            if let Some(i) = slot.active_at.take() {
+                self.deactivate(i);
             }
         }
     }
 
     /// Forget a pair entirely (job teardown).
     pub fn remove_pair(&mut self, pair: (NodeId, NodeId)) {
-        if let Some(a) = self.pairs.remove(&pair).and_then(|s| s.assignment) {
+        let Some(slot) = self.pairs.remove(&pair) else {
+            return;
+        };
+        if let Some(a) = slot.assignment {
             table_sub(&mut self.planned_link_bytes, a.path.links(), a.outstanding);
             if a.outstanding > 0 {
                 table_sub(&mut self.planned_link_pairs, a.path.links(), 1);
             }
+        }
+        if let Some(i) = slot.active_at {
+            self.deactivate(i);
         }
     }
 
@@ -609,6 +642,7 @@ impl FlowAllocator {
             let slot = PairSlot {
                 assignment: Some(Assignment { path, outstanding }),
                 geometry: None,
+                active_at: None,
             };
             if pairs.insert((src, dst), slot).is_some() {
                 return Err(r.malformed(format!("duplicate assignment for pair {src}->{dst}")));
@@ -623,6 +657,13 @@ impl FlowAllocator {
         }
         // Geometry memos are caches keyed by the caller's epoch counters,
         // which restart from zero after a restore — the slots start cold.
+        self.active.clear();
+        for (&pair, slot) in pairs.iter_mut() {
+            if slot.assignment.as_ref().is_some_and(|a| a.outstanding > 0) {
+                slot.active_at = Some(self.active.len() as u32);
+                self.active.push(pair);
+            }
+        }
         self.pairs = pairs;
         self.planned_link_bytes = planned_link_bytes;
         self.planned_link_pairs = planned_link_pairs;
@@ -888,6 +929,42 @@ mod tests {
         a.place(p2, 100, &paths, &resids);
         a.drain(p2, 100);
         assert_eq!(a.active_pairs(), vec![p1]);
+    }
+
+    #[test]
+    fn active_set_follows_outstanding_through_every_transition() {
+        let mr = mr();
+        let mut a = FlowAllocator::new();
+        let pairs: Vec<(NodeId, NodeId)> =
+            (0..4).map(|i| (mr.servers[i], mr.servers[5 + i])).collect();
+        for (i, &p) in pairs.iter().enumerate() {
+            let (paths, resids) = pair_candidates(&mr, i, 5 + i, 1e9, 1e9);
+            assert!(matches!(
+                a.place(p, 100, &paths, &resids),
+                Placement::Assign(_)
+            ));
+        }
+        assert!(a.stack_demand(pairs[0], 50));
+        a.drain(pairs[0], 100); // 50 left: still active
+        a.drain(pairs[1], 100); // idle
+        a.drain(pairs[1], 100); // draining an idle pair changes nothing
+        a.remove_pair(pairs[2]);
+        assert_eq!(a.active_pairs(), vec![pairs[0], pairs[3]]);
+        // Re-placing the idle pair makes it active again.
+        let (paths, resids) = pair_candidates(&mr, 1, 6, 1e9, 1e9);
+        a.place(pairs[1], 10, &paths, &resids);
+        assert_eq!(a.active_pairs(), vec![pairs[0], pairs[1], pairs[3]]);
+        // A restore derives the set from the plan.
+        let mut w = pythia_snapshot::Writer::new();
+        w.section("a", |s| a.put_state(s));
+        let bytes = w.finish();
+        let mut r = pythia_snapshot::Reader::new(&bytes).unwrap();
+        let mut sec = r.section("a").unwrap();
+        let mut b = FlowAllocator::new();
+        b.restore_state(&mr.topology, &mut sec).unwrap();
+        assert_eq!(b.active_pairs(), a.active_pairs());
+        b.drain(pairs[3], 100);
+        assert_eq!(b.active_pairs(), vec![pairs[0], pairs[1]]);
     }
 
     #[test]

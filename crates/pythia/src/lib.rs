@@ -19,8 +19,8 @@
 //!   ("assign each aggregated flow to the path with the highest available
 //!   bandwidth", size-aware, background-differentiated);
 //! * [`scheduler`] — [`scheduler::PythiaSystem`], the facade the cluster
-//!   engine drives, with its collector/allocator split into per-pod
-//!   shards;
+//!   engine drives: one collector, with placement split into per-pod
+//!   allocator shards;
 //! * [`middleware_cost`] — the §V-C dc + spike overhead model.
 //!
 //! The instrumentation path in isolation — decode a spill index into a

@@ -17,30 +17,29 @@
 //! 4. A shuffle fetch completes → [`PythiaSystem::on_fetch_completed`];
 //!    the pair's outstanding volume drains, freeing planned capacity.
 //!
-//! ## Collector shards
+//! ## Placement shards
 //!
-//! One collector and one allocator match the paper's 10-server testbed,
-//! but on a 1024-server Clos they become a serialization point whose
-//! working set spans the fabric. The system therefore splits collection
-//! and placement into N ≥ 1 shards by *pod* (rack on leaf fabrics):
-//! server `s` belongs to shard `pod(s) % N`, and a shard only ever sees
-//! the predictions whose **source server** it owns, so its collector
-//! maps, parked entries and allocator plan stay pod-sized. Under the
-//! default `ServerPair` aggregation every prediction for a pair
-//! originates at the pair's source server, so a pair's whole lifecycle
-//! (prediction → park → demand → placement → drain) stays in one shard.
+//! One collector aggregates every prediction, as in the paper: its maps
+//! are hash-keyed, so each message costs O(the state it names) however
+//! large the fabric, and a map task re-executed in another pod retracts
+//! its stale prediction like any other re-execution. Placement is split
+//! into N ≥ 1 shards by *pod* (rack on leaf fabrics): server `s` belongs
+//! to shard `pod(s) % N`, and each shard's allocator plans only the pairs
+//! whose **source node** it owns, so its plan stays pod-sized. Every
+//! demand, retraction and drain goes to the shard of its pair's source;
+//! a pair's placement lifecycle (placement → stack → drain) therefore
+//! stays in one shard.
 //!
-//! * **routed by source server** — predictions and fetch completions;
-//! * **broadcast** — reducer launches (a job's maps span pods, so every
-//!   shard must learn reducer locations to un-park its own predictions),
-//!   the re-placement sweep and the controller-restart resync;
-//! * **system-wide** — the per-server instrumentation, the background
-//!   residual table (background load is fabric state every shard reads),
-//!   controller reachability and the run statistics.
+//! * **per source node** — demands, retractions and drains;
+//! * **every shard in turn** — the re-placement sweep and the
+//!   controller-restart resync;
+//! * **system-wide** — the collector, the per-server instrumentation, the
+//!   background residual table (background load is fabric state every
+//!   shard reads), controller reachability and the run statistics.
 //!
 //! Placements made by one shard are not visible in another's allocator
 //! plan — the trade-off a per-pod controller deployment would make. With
-//! one shard it vanishes: the system is the paper's single collector.
+//! one shard it vanishes: the system is the paper's single allocator.
 
 use std::collections::BTreeMap;
 
@@ -172,7 +171,7 @@ impl Persist for PythiaStats {
     }
 }
 
-/// Collector degradation counters summed over every shard.
+/// Collector degradation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollectorTotals {
     /// Duplicate prediction deliveries dropped.
@@ -185,10 +184,9 @@ pub struct CollectorTotals {
     pub parked_expired: u64,
 }
 
-/// One collector shard: aggregation and placement state for the
-/// predictions whose source server lives in the shard's pods.
+/// One placement shard: the allocator plan for the pairs whose source
+/// node lives in the shard's pods.
 struct Shard {
-    collector: Collector,
     allocator: FlowAllocator,
     /// Rack-aggregation state: per rack pair, the pinned inter-switch
     /// trunk link and how many active server pairs ride it.
@@ -198,13 +196,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(cfg: &PythiaConfig, server_nodes: Vec<NodeId>) -> Shard {
+    fn new(cfg: &PythiaConfig) -> Shard {
         let allocator = match cfg.allocation {
             AllocationMode::SizeAware => FlowAllocator::new(),
             AllocationMode::SizeBlind => FlowAllocator::new_size_blind(),
         };
         Shard {
-            collector: Collector::new(server_nodes),
             allocator,
             rack_trunk: BTreeMap::new(),
             rack_counted: BTreeMap::new(),
@@ -251,7 +248,6 @@ impl Shard {
     }
 
     fn put_state(&self, w: &mut SectionWriter) {
-        self.collector.put_state(w);
         self.allocator.put_state(w);
         self.rack_trunk.put(w);
         self.rack_counted.put(w);
@@ -262,7 +258,6 @@ impl Shard {
         topo: &Topology,
         r: &mut SectionReader,
     ) -> Result<(), SnapshotError> {
-        self.collector.restore_state(r)?;
         self.allocator.restore_state(topo, r)?;
         let rack_trunk = <BTreeMap<(u32, u32), (LinkId, u64)> as Persist>::get(r)?;
         for &(link, count) in rack_trunk.values() {
@@ -286,12 +281,15 @@ impl Shard {
 }
 
 /// The complete Pythia deployment over one cluster: one instrumentation
-/// agent per server and N ≥ 1 collector shards (see the module docs).
+/// agent per server, one collector and N ≥ 1 placement shards (see the
+/// module docs).
 pub struct PythiaSystem {
     cfg: PythiaConfig,
     instruments: Vec<Instrumentation>,
-    /// `pod_of_server[s]` — pod (or rack) index of Hadoop server `s`.
-    pod_of_server: Vec<u32>,
+    /// `shard_of_node[n]` — placement shard of network node `n` (0 for
+    /// nodes that host no server).
+    shard_of_node: Vec<u32>,
+    collector: Collector,
     shards: Vec<Shard>,
     /// Whether the SDN controller is reachable. While down, placements
     /// are still decided (the collector/allocator live with Pythia, not
@@ -320,7 +318,7 @@ pub struct PythiaSystem {
 impl PythiaSystem {
     /// `server_nodes[i]` is the network node hosting Hadoop server `i`
     /// and `pod_of_server[i]` its pod (or rack); server `i` belongs to
-    /// collector shard `pod_of_server[i] % num_shards`. `topo` is the
+    /// placement shard `pod_of_server[i] % num_shards`. `topo` is the
     /// (nominal) fabric the residual table is sized from.
     pub fn new(
         cfg: PythiaConfig,
@@ -329,7 +327,7 @@ impl PythiaSystem {
         pod_of_server: Vec<u32>,
         num_shards: usize,
     ) -> Self {
-        assert!(num_shards >= 1, "at least one collector shard");
+        assert!(num_shards >= 1, "at least one placement shard");
         assert_eq!(
             pod_of_server.len(),
             server_nodes.len(),
@@ -338,13 +336,16 @@ impl PythiaSystem {
         let instruments = (0..server_nodes.len() as u32)
             .map(|i| Instrumentation::new(ServerId(i)))
             .collect();
-        let shards = (0..num_shards)
-            .map(|_| Shard::new(&cfg, server_nodes.clone()))
-            .collect();
+        let mut shard_of_node = vec![0; topo.num_nodes()];
+        for (&node, &pod) in server_nodes.iter().zip(&pod_of_server) {
+            shard_of_node[node.0 as usize] = pod % num_shards as u32;
+        }
+        let shards = (0..num_shards).map(|_| Shard::new(&cfg)).collect();
         PythiaSystem {
             cfg,
             instruments,
-            pod_of_server,
+            shard_of_node,
+            collector: Collector::new(server_nodes),
             shards,
             controller_up: true,
             residuals: ResidualTable::new(topo),
@@ -363,14 +364,14 @@ impl PythiaSystem {
         self.trace = trace;
     }
 
-    /// Number of collector shards.
+    /// Number of placement shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
 
-    /// Shard owning `server`'s predictions.
-    fn shard_of(&self, server: ServerId) -> usize {
-        self.pod_of_server[server.0 as usize] as usize % self.shards.len()
+    /// Shard placing the pairs whose source is network node `node`.
+    fn shard_of_node(&self, node: NodeId) -> usize {
+        self.shard_of_node[node.0 as usize] as usize
     }
 
     /// The link-load service reported `link` carrying `bps` of
@@ -430,18 +431,17 @@ impl PythiaSystem {
         }
     }
 
-    /// The collector received a prediction; it aggregates in the shard
-    /// of the message's source server. Background load is read from the
-    /// residual table — push updates via [`PythiaSystem::set_background`]
-    /// before delivering.
+    /// The collector received a prediction; its demands are placed by
+    /// the shard of the message's source server. Background load is read
+    /// from the residual table — push updates via
+    /// [`PythiaSystem::set_background`] before delivering.
     pub fn on_prediction_delivered(
         &mut self,
         now: SimTime,
         msg: &PredictionMsg,
         controller: &mut Controller,
     ) -> Vec<PendingRule> {
-        let s = self.shard_of(msg.src_server);
-        let collector = &mut self.shards[s].collector;
+        let collector = &mut self.collector;
         // Counter snapshots let the recorder classify what the collector
         // did with this delivery without touching its internals.
         let snap = self.trace.is_enabled().then(|| {
@@ -484,18 +484,26 @@ impl PythiaSystem {
                     });
             }
         }
-        // A re-executed map retracts its stale volumes before the new
-        // prediction is placed.
+        // A re-executed map retracts its stale volumes, in the shard of
+        // the pod it ran in before, ahead of placing the new prediction.
         for &(pair, bytes) in &outcome.retracted {
-            self.shards[s].drain(pair, bytes, self.cfg.aggregation);
+            self.drain(pair, bytes);
         }
         let mut rules = Vec::new();
-        self.handle_demands(s, &outcome.demands, controller, &mut rules);
+        self.handle_demands(&outcome.demands, controller, &mut rules);
         rules
     }
 
-    /// A reducer launched: resolve parked predictions in every shard (a
-    /// job's maps span pods). Rule batches concatenate in shard order.
+    /// Drain `bytes` of predicted volume from `pair` in its source's
+    /// shard.
+    fn drain(&mut self, pair: (NodeId, NodeId), bytes: u64) {
+        let s = self.shard_of_node(pair.0);
+        self.shards[s].drain(pair, bytes, self.cfg.aggregation);
+    }
+
+    /// A reducer launched: resolve its parked predictions (a job's maps
+    /// span pods, so the demands go to several shards). Rule batches
+    /// concatenate in shard order.
     pub fn on_reducer_launched(
         &mut self,
         now: SimTime,
@@ -504,24 +512,22 @@ impl PythiaSystem {
         server: ServerId,
         controller: &mut Controller,
     ) -> Vec<PendingRule> {
-        let mut rules = Vec::new();
-        for s in 0..self.shards.len() {
-            let collector = &mut self.shards[s].collector;
-            let parked_before = self.trace.is_enabled().then(|| collector.parked());
-            let demands = collector.on_reducer_location(now, job, reducer, server);
-            if let Some(before) = parked_before {
-                let released = before.saturating_sub(collector.parked());
-                if released > 0 {
-                    self.trace
-                        .record(Component::Collector, || TraceEvent::CollectorUnpark {
-                            job,
-                            reducer,
-                            entries: released as u32,
-                        });
-                }
+        let collector = &mut self.collector;
+        let parked_before = self.trace.is_enabled().then(|| collector.parked());
+        let demands = collector.on_reducer_location(now, job, reducer, server);
+        if let Some(before) = parked_before {
+            let released = before.saturating_sub(collector.parked());
+            if released > 0 {
+                self.trace
+                    .record(Component::Collector, || TraceEvent::CollectorUnpark {
+                        job,
+                        reducer,
+                        entries: released as u32,
+                    });
             }
-            self.handle_demands(s, &demands, controller, &mut rules);
         }
+        let mut rules = Vec::new();
+        self.handle_demands(&demands, controller, &mut rules);
         rules
     }
 
@@ -579,7 +585,7 @@ impl PythiaSystem {
     }
 
     /// A shuffle fetch completed: drain the pair's predicted volume in
-    /// the source server's shard.
+    /// its source's shard.
     pub fn on_fetch_completed(
         &mut self,
         job: JobId,
@@ -588,13 +594,11 @@ impl PythiaSystem {
         src: ServerId,
         dst: ServerId,
     ) {
-        let s = self.shard_of(src);
-        let shard = &mut self.shards[s];
-        if let Some((pair, bytes)) = shard
+        if let Some((pair, bytes)) = self
             .collector
             .on_fetch_completed(job, map, reducer, src, dst)
         {
-            shard.drain(pair, bytes, self.cfg.aggregation);
+            self.drain(pair, bytes);
         }
     }
 
@@ -625,24 +629,27 @@ impl PythiaSystem {
         self.controller_up = true;
         self.stats.controller_resyncs += 1;
         let mut rules = Vec::new();
+        let outstanding = self.collector.outstanding_pairs();
+        let mut pairs = std::mem::take(&mut self.active_scratch);
         for s in 0..self.shards.len() {
-            let shard = &self.shards[s];
+            let allocator = &self.shards[s].allocator;
             // Pairs the collector predicts but the allocator never placed
             // (NoPath during the outage, e.g. a concurrent link failure).
-            let unplaced: Vec<AggregatedDemand> = shard
-                .collector
-                .outstanding_pairs()
-                .into_iter()
-                .filter(|&(pair, _)| shard.allocator.assigned_path(pair).is_none())
-                .map(|((src, dst), bytes)| AggregatedDemand {
+            let unplaced: Vec<AggregatedDemand> = outstanding
+                .iter()
+                .filter(|&&(pair, _)| {
+                    self.shard_of_node(pair.0) == s && allocator.assigned_path(pair).is_none()
+                })
+                .map(|&((src, dst), bytes)| AggregatedDemand {
                     src,
                     dst,
                     added_bytes: bytes,
                 })
                 .collect();
-            self.handle_demands(s, &unplaced, controller, &mut rules);
+            self.handle_demands(&unplaced, controller, &mut rules);
             let allocator = &self.shards[s].allocator;
-            for pair in allocator.active_pairs() {
+            allocator.active_pairs_into(&mut pairs);
+            for &pair in &pairs {
                 if let Some(path) = allocator.assigned_path(pair) {
                     let matcher = FlowMatch::server_pair(pair.0, pair.1);
                     let pending = controller.install_path(matcher, path, self.cfg.rule_priority);
@@ -652,18 +659,15 @@ impl PythiaSystem {
                 }
             }
         }
+        self.active_scratch = pairs;
         rules
     }
 
-    /// TTL sweep over parked predictions in every shard (no-op unless
+    /// TTL sweep over parked predictions (no-op unless
     /// [`PythiaConfig::parked_ttl`] is set). Returns entries expired.
     pub fn expire_parked(&mut self, now: SimTime) -> usize {
         match self.cfg.parked_ttl {
-            Some(ttl) => self
-                .shards
-                .iter_mut()
-                .map(|sh| sh.collector.expire_parked(now, ttl))
-                .sum(),
+            Some(ttl) => self.collector.expire_parked(now, ttl),
             None => 0,
         }
     }
@@ -673,29 +677,28 @@ impl PythiaSystem {
         self.stats
     }
 
-    /// Collector degradation counters summed over the shards.
+    /// Collector degradation counters.
     pub fn collector_totals(&self) -> CollectorTotals {
-        let mut t = CollectorTotals::default();
-        for sh in &self.shards {
-            let c = &sh.collector;
-            t.duplicates_dropped += c.duplicates_dropped;
-            t.retractions += c.retractions;
-            t.malformed_dropped += c.malformed_dropped;
-            t.parked_expired += c.parked_expired;
+        let c = &self.collector;
+        CollectorTotals {
+            duplicates_dropped: c.duplicates_dropped,
+            retractions: c.retractions,
+            malformed_dropped: c.malformed_dropped,
+            parked_expired: c.parked_expired,
         }
-        t
     }
 
     /// Serialize every stateful sub-component: per-server middleware
-    /// counters, each shard's collector, allocator plan and rack pins,
-    /// controller reachability, the residual table, and the run stats.
-    /// The config, the pod map and the trace handle are scenario wiring,
-    /// not state.
+    /// counters, the collector, each shard's allocator plan and rack
+    /// pins, controller reachability, the residual table, and the run
+    /// stats. The config, the pod map and the trace handle are scenario
+    /// wiring, not state.
     pub fn put_state(&self, w: &mut SectionWriter) {
         (self.instruments.len() as u64).put(w);
         for inst in &self.instruments {
             inst.put_state(w);
         }
+        self.collector.put_state(w);
         (self.shards.len() as u64).put(w);
         for shard in &self.shards {
             shard.put_state(w);
@@ -723,10 +726,11 @@ impl PythiaSystem {
         for inst in &mut self.instruments {
             inst.restore_state(r)?;
         }
+        self.collector.restore_state(r)?;
         let n = u64::get(r)? as usize;
         if n != self.shards.len() {
             return Err(r.malformed(format!(
-                "snapshot has {n} collector shards, scenario has {}",
+                "snapshot has {n} placement shards, scenario has {}",
                 self.shards.len()
             )));
         }
@@ -743,11 +747,11 @@ impl PythiaSystem {
         Ok(())
     }
 
-    /// Place `demands` with shard `s`'s allocator, appending the rules
-    /// to install to `rules`.
+    /// Place each of `demands` with its source's shard, appending the
+    /// rules to install to `rules`: shard by shard, and within a shard
+    /// largest demand first.
     fn handle_demands(
         &mut self,
-        s: usize,
         demands: &[AggregatedDemand],
         controller: &mut Controller,
         rules: &mut Vec<PendingRule>,
@@ -761,17 +765,20 @@ impl PythiaSystem {
                     added_bytes: d.added_bytes,
                 });
         }
-        // Largest demand first: first-fit-decreasing.
-        let mut sorted: Vec<&AggregatedDemand> = demands.iter().collect();
-        sorted.sort_by(|a, b| {
-            b.added_bytes
-                .cmp(&a.added_bytes)
+        // Largest demand first within a shard: first-fit-decreasing.
+        let mut sorted: Vec<(usize, &AggregatedDemand)> = demands
+            .iter()
+            .map(|d| (self.shard_of_node(d.src), d))
+            .collect();
+        sorted.sort_by(|(sa, a), (sb, b)| {
+            sa.cmp(sb)
+                .then_with(|| b.added_bytes.cmp(&a.added_bytes))
                 .then_with(|| (a.src, a.dst).cmp(&(b.src, b.dst)))
         });
         let paths_epoch = controller.paths_epoch();
         let rack_pair = self.cfg.aggregation == AggregationPolicy::RackPair;
-        let shard = &mut self.shards[s];
-        for d in sorted {
+        for (s, d) in sorted {
+            let shard = &mut self.shards[s];
             self.stats.demands_aggregated += 1;
             // Fast path: the overwhelming majority of demands stack onto
             // a pair that already holds an assignment with outstanding
@@ -897,23 +904,20 @@ impl PythiaSystem {
     }
 
     /// Predicted cumulative remote-traffic curve of server `server`
-    /// (Figure 5's prediction side), from the shard that owns it.
+    /// (Figure 5's prediction side).
     pub fn predicted_curve(&self, server: ServerId) -> Option<&CumulativeCurve> {
-        let collector = &self.shards[self.shard_of(server)].collector;
-        collector.predicted_curve(collector.node_of(server).ok()?)
+        let c = &self.collector;
+        c.predicted_curve(c.node_of(server).ok()?)
     }
 
     /// Outstanding predicted bytes on a server pair.
     pub fn outstanding(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| sh.collector.outstanding(src, dst))
-            .sum()
+        self.collector.outstanding(src, dst)
     }
 
-    /// Parked (unknown-reducer) prediction entries, over every shard.
+    /// Parked (unknown-reducer) prediction entries.
     pub fn parked_predictions(&self) -> usize {
-        self.shards.iter().map(|sh| sh.collector.parked()).sum()
+        self.collector.parked()
     }
 
     /// Per-server spill-decode counts, for the §V-C overhead model.
@@ -935,7 +939,7 @@ mod tests {
     use pythia_netsim::{build_multi_rack, MultiRack, MultiRackParams};
     use pythia_openflow::ControllerConfig;
 
-    /// One collector shard over `servers`.
+    /// One placement shard over `servers`.
     fn single(cfg: PythiaConfig, mr: &MultiRack, servers: &[NodeId]) -> PythiaSystem {
         PythiaSystem::new(
             cfg,
@@ -1368,12 +1372,62 @@ mod tests {
         let mr = build_multi_rack(&MultiRackParams::default());
         let py = sharded(&mr, 2);
         // Default multi-rack: 2 racks x 5 servers, rack-major order.
-        assert_eq!(py.shard_of(ServerId(0)), 0);
-        assert_eq!(py.shard_of(ServerId(4)), 0);
-        assert_eq!(py.shard_of(ServerId(5)), 1);
-        assert_eq!(py.shard_of(ServerId(9)), 1);
+        assert_eq!(py.shard_of_node(mr.servers[0]), 0);
+        assert_eq!(py.shard_of_node(mr.servers[4]), 0);
+        assert_eq!(py.shard_of_node(mr.servers[5]), 1);
+        assert_eq!(py.shard_of_node(mr.servers[9]), 1);
         let one = sharded(&mr, 1);
-        assert!((0..10).all(|s| one.shard_of(ServerId(s)) == 0));
+        assert!(mr.servers.iter().all(|&n| one.shard_of_node(n) == 0));
+    }
+
+    #[test]
+    fn cross_pod_reexecution_retracts_the_stale_prediction() {
+        // Map 0 spills on server 1 (rack 0) for reducer 0 on server 5
+        // (rack 1), then Hadoop re-executes it on server 6 (rack 1). The
+        // stale pair's volume must be retracted whatever the shard count,
+        // though with two shards the two copies come from different pods.
+        let mr = build_multi_rack(&MultiRackParams::default());
+        let index = IndexFile::from_partition_sizes(&[10_000_000], 1.0);
+        let stale = (mr.servers[1], mr.servers[5]);
+        for shards in [1, 2] {
+            let mut ctl = Controller::new(
+                mr.topology.clone(),
+                ControllerConfig::default(),
+                &RngFactory::new(3),
+            );
+            let mut py = sharded(&mr, shards);
+            py.on_reducer_launched(SimTime::ZERO, JobId(0), ReducerId(0), ServerId(5), &mut ctl);
+            for (server, secs) in [(1, 1), (6, 2)] {
+                let (msg, at) = py
+                    .on_spill(
+                        SimTime::from_secs(secs),
+                        JobId(0),
+                        MapTaskId(0),
+                        ServerId(server),
+                        &index.encode(),
+                    )
+                    .unwrap();
+                py.on_prediction_delivered(at, &msg, &mut ctl);
+                if server == 1 {
+                    assert_eq!(py.outstanding(stale.0, stale.1), 10_721_547);
+                }
+            }
+            assert_eq!(
+                py.outstanding(stale.0, stale.1),
+                0,
+                "{shards} shard(s): stale pair still outstanding"
+            );
+            assert_eq!(py.collector_totals().retractions, 1, "{shards} shard(s)");
+            assert!(py.outstanding(mr.servers[6], mr.servers[5]) > 0);
+            // The allocator drained too: the stale pair no longer holds
+            // planned volume, so nothing is left to reinstall for it.
+            py.set_controller_down();
+            let rules = py.on_controller_restart(SimTime::from_secs(3), &mut ctl);
+            assert!(
+                rules.iter().all(|r| r.rule.matcher.src != Some(stale.0)),
+                "{shards} shard(s): stale pair reinstalled"
+            );
+        }
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub mod shell;
 /// Version 3 drops the network's solver-mode byte and records a deferred
 /// rate solve as pending (dirty links, the engine's deferral state)
 /// instead of forcing it at the checkpoint.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version 4 stores Pythia's one collector once, ahead of the placement
+/// shards (version 3 kept a collector inside every shard).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 4] = b"PYSN";
 

@@ -1,5 +1,5 @@
 //! Fleet smoke tests: the multi-tenant control plane — arrival traces,
-//! per-pod collector shards, epoch-batched rule installs — must run
+//! per-pod placement shards, epoch-batched rule installs — must run
 //! end-to-end, and the small single-shard fleet must keep its pinned
 //! fingerprint.
 //!
@@ -47,7 +47,7 @@ fn fleet_cfg(k: u32) -> ScenarioConfig {
         .with_seed(11)
 }
 
-/// The k=4 fleet on four collector shards with epoch-batched installs.
+/// The k=4 fleet on four placement shards with epoch-batched installs.
 #[test]
 fn fleet_streams_on_fat_tree_k4() {
     let fleet = small_fleet();
@@ -73,7 +73,7 @@ fn fleet_streams_on_fat_tree_k4() {
     );
 }
 
-/// The k=4 fleet on one collector shard keeps its pinned fingerprint,
+/// The k=4 fleet on one placement shard keeps its pinned fingerprint,
 /// re-taken once when the relaxed-order solver became the only
 /// accounting mode (it equals what that mode produced while it was still
 /// optional).
@@ -88,7 +88,7 @@ fn single_shard_exact_fleet_fingerprint_is_pinned() {
 }
 
 /// The 1024-server fleet: ≥1000 jobs on a k=16 fat-tree with 16
-/// collector shards and epoch-batched installs, sustained above
+/// placement shards and epoch-batched installs, sustained above
 /// `FLOOR_ALLOWANCE` × `FLEET_1024_FLOOR` calibrated events/sec.
 #[test]
 fn fleet_1024_sustains_event_rate_gated() {
